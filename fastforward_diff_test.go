@@ -8,7 +8,8 @@ import (
 
 // TestFastForwardInert proves the run loop's idle-cycle fast-forward is
 // observationally inert on real workloads: for one application from
-// every benchmark suite, under both GTO and RBA scheduling, the full
+// every benchmark suite, plus the load-bound apps whose skips span
+// outstanding memory fills, under both GTO and RBA scheduling, the full
 // statistics object serializes byte-identically with fast-forward
 // enabled and disabled.
 func TestFastForwardInert(t *testing.T) {
@@ -23,16 +24,28 @@ func TestFastForwardInert(t *testing.T) {
 		{"gto", VoltaV100().WithSMs(2)},
 		{"rba", VoltaV100().WithSMs(2).WithScheduler(SchedRBA)},
 	}
+	var apps []App
 	for _, suite := range suites {
-		apps, err := AppsBySuite(suite)
+		inSuite, err := AppsBySuite(suite)
 		if err != nil {
 			t.Fatal(err)
 		}
-		app := apps[0]
+		apps = append(apps, inSuite[0])
+	}
+	// The load-bound set of the host benchmark's mem-latency workload;
+	// rod-bfs already leads the rodinia suite.
+	for _, name := range []string{"pb-spmv", "rod-pf", "pb-stencil", "pb-lbm", "rod-htsp", "rod-gaussian", "pb-mrig"} {
+		app, err := AppByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps = append(apps, app)
+	}
+	for _, app := range apps {
 		for _, tc := range cfgs {
 			tc := tc
 			app := app
-			t.Run(suite+"/"+tc.name+"/"+app.Name, func(t *testing.T) {
+			t.Run(app.Suite+"/"+tc.name+"/"+app.Name, func(t *testing.T) {
 				t.Parallel()
 				fast, err := Run(tc.cfg, app)
 				if err != nil {

@@ -32,13 +32,16 @@ func (e *AuditError) Error() string {
 // violation: per-SM scoreboard/lease/occupancy/budget invariants, memory
 // hierarchy MSHR/cache/channel invariants, and the CPI-stack identity
 // (every sub-core's attributed cycles sum exactly to the device cycles).
-// Read-only and safe between cycles; an empty result is a healthy device.
+// Read-only; an empty result is a healthy device. The MSHR law holds
+// after the heartbeat's Retire(g.cycle), so call it at a heartbeat (the
+// auditor's own call site) or on a device restored from a snapshot,
+// which is always taken at one.
 func (g *GPU) AuditCheck() []audit.Violation {
 	var vs []audit.Violation
 	for _, sm := range g.sms {
 		vs = append(vs, sm.Audit()...)
 	}
-	vs = append(vs, g.hier.Audit()...)
+	vs = append(vs, g.hier.Audit(g.cycle)...)
 	if err := g.run.CheckCPI(); err != nil {
 		vs = append(vs, audit.Violationf("cpi", "device", "%v", err))
 	}

@@ -589,10 +589,12 @@ func (g *GPU) fastForward(ls *launch) (stop loopStop, stopped, skipped bool) {
 }
 
 // heartbeat runs the per-monitorPeriod supervision duties shared by the
-// ticked loop and the fast-forward wake path: metrics flush, monitor
-// beat/cancel poll, the runtime invariant auditor (config.AuditEvery),
-// and the harness's snapshot hook. Deliberately not on the per-cycle
-// path — everything here may allocate.
+// ticked loop and the fast-forward wake path: MSHR retirement, metrics
+// flush, monitor beat/cancel poll, the runtime invariant auditor
+// (config.AuditEvery), and the harness's snapshot hook. Deliberately not
+// on the per-cycle path — everything here may allocate. Retire runs
+// first, so the corruption hook, the auditor and the snapshot all see
+// pending maps holding only fills that complete after g.cycle.
 //
 // The snapshot hook also runs on the heartbeat that observes a
 // cancellation, before the loop stops: the device is still mid-launch
@@ -603,6 +605,7 @@ func (g *GPU) fastForward(ls *launch) (stop loopStop, stopped, skipped bool) {
 //
 //simlint:cold
 func (g *GPU) heartbeat(ls *launch) (loopStop, bool) {
+	g.hier.Retire(g.cycle)
 	g.flushMetrics()
 	canceled := g.mon.beat(g.cycle)
 	if !canceled {
@@ -630,10 +633,12 @@ func (g *GPU) heartbeat(ls *launch) (loopStop, bool) {
 }
 
 // nextWake computes the device-wide next-event cycle: the min over all
-// SMs' NextEvent and the memory system's, or now when any SM is hot.
-// The memory-system events never initiate SM work by themselves (the
-// hierarchy is analytic), so including them only shortens skips — a
-// conservative bound, never a correctness requirement.
+// SMs' NextEvent, or now when any SM is hot. The memory hierarchy has no
+// term here: it is analytic, so every access resolves to a completion
+// cycle at issue and a load's fill already sits in its SM's writeback
+// heap, which SM.NextEvent consults. A fill or a channel freeing never
+// initiates SM work by itself; completed MSHR entries are pruned by the
+// heartbeat's Retire instead.
 //
 //simlint:hotpath
 func (g *GPU) nextWake(now int64) int64 {
@@ -646,9 +651,6 @@ func (g *GPU) nextWake(now int64) int64 {
 		if e < wake {
 			wake = e
 		}
-	}
-	if e := g.hier.NextEvent(now); e > now && e < wake {
-		wake = e
 	}
 	return wake
 }

@@ -6,15 +6,15 @@ import (
 	"repro/internal/audit"
 )
 
-// Audit re-derives the memory system's conservation laws and reports every
-// breach (docs/ROBUSTNESS.md). It is read-only: in particular it inspects
-// MSHR pending maps directly rather than through nextEvent, which prunes.
-func (h *Hierarchy) Audit() []audit.Violation {
+// Audit re-derives the memory system's conservation laws at device cycle
+// now and reports every breach (docs/ROBUSTNESS.md). It is read-only and
+// expects to run after the heartbeat's Retire(now).
+func (h *Hierarchy) Audit(now int64) []audit.Violation {
 	var vs []audit.Violation
 	for i, m := range h.l1m {
-		vs = m.auditInto(vs, fmt.Sprintf("l1m[%d]", i))
+		vs = m.auditInto(vs, fmt.Sprintf("l1m[%d]", i), now)
 	}
-	vs = h.l2m.auditInto(vs, "l2m")
+	vs = h.l2m.auditInto(vs, "l2m", now)
 	vs = h.l2ch.auditInto(vs, "l2ch")
 	vs = h.drch.auditInto(vs, "drch")
 	for i, c := range h.l1 {
@@ -23,25 +23,25 @@ func (h *Hierarchy) Audit() []audit.Violation {
 	return h.l2.auditInto(vs, "l2")
 }
 
-// auditInto checks the MSHR's fast-forward bound: minDone is allowed to go
-// stale-low (lazy deletes), never stale-high — a high bound would let the
-// fast-forward skip past a fill completion. The min over the map is
-// order-independent, so the direct iteration stays deterministic.
-func (m *mshr) auditInto(vs []audit.Violation, where string) []audit.Violation {
-	if len(m.pending) == 0 {
-		return vs
-	}
-	min := NeverCycle
-	//simlint:allow determinism -- min over the map is order-independent
+// auditInto checks that every pending fill completes after now: Retire(now)
+// has pruned the completed ones, so a survivor at or before now means the
+// map was corrupted or the pruning skipped an entry. The earliest offender
+// is order-independent, so the direct iteration stays deterministic.
+func (m *mshr) auditInto(vs []audit.Violation, where string, now int64) []audit.Violation {
+	stale, earliest := 0, NeverCycle
+	//simlint:allow determinism -- count and min over the map are order-independent
 	for _, done := range m.pending {
-		if done < min {
-			min = done
+		if done <= now {
+			stale++
+			if done < earliest {
+				earliest = done
+			}
 		}
 	}
-	if m.minDone > min {
+	if stale > 0 {
 		vs = append(vs, audit.Violationf("mshr", where,
-			"minDone bound %d exceeds earliest pending fill %d across %d entries — fast-forward could overshoot a completion",
-			m.minDone, min, len(m.pending)))
+			"%d of %d pending fills completed at or before cycle %d (earliest %d) yet survived Retire",
+			stale, len(m.pending), now, earliest))
 	}
 	return vs
 }
@@ -86,10 +86,8 @@ func (ch *bwChannel) auditInto(vs []audit.Violation, where string) []audit.Viola
 }
 
 // CorruptMSHRForTest seeds a guaranteed-detectable MSHR inconsistency (a
-// pending fill whose completion lies below the cached minDone bound) for
+// pending fill that completes at now, as if Retire(now) had missed it) for
 // the auditor's injected-corruption tests. Never call outside tests.
 func (h *Hierarchy) CorruptMSHRForTest(now int64) {
-	m := h.l1m[0]
-	m.pending[^uint64(0)] = now + 1000
-	m.minDone = now + 2000
+	h.l1m[0].pending[^uint64(0)] = now
 }

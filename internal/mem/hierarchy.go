@@ -14,6 +14,7 @@ import (
 //
 //snapshot:state
 type bwChannel struct {
+	//simlint:allow nexteventguard -- advances only in serve, which runs only inside AccessGlobal, which only a non-quiescent LSU calls; the queueing delay it adds is already in the SM writeback heap that SM.NextEvent consults
 	nextFree   int64
 	cycPerLine int64
 	fracNum    int64 // fractional accumulation when bytes/cycle > line
@@ -69,58 +70,17 @@ func (ch *bwChannel) serve(now int64) int64 {
 	return ch.nextFree + 1
 }
 
-// queueDelay reports how many cycles a new request at time now would wait
-// before service begins.
-func (ch *bwChannel) queueDelay(now int64) int64 {
-	if ch.nextFree <= now {
-		return 0
-	}
-	return ch.nextFree - now
-}
-
 // mshr tracks outstanding line fills so that misses to an in-flight line
 // merge instead of consuming bandwidth twice.
 //
 //snapshot:state
 type mshr struct {
+	//simlint:allow nexteventguard -- read and written only inside AccessGlobal, which only a non-quiescent LSU calls, and pruned by the heartbeat's Retire, which drops only fills no later access can merge with; every fill's completion is already in the SM writeback heap that SM.NextEvent consults
 	pending map[uint64]int64 // line -> completion cycle
-	// minDone is a lower bound on the earliest pending completion. Inserts
-	// keep it exact downward; lazy deletes leave it stale-low, and
-	// nextEvent restores it with an amortized rescan. Keeping the bound
-	// makes the fast-forward probe O(1) per idle cycle instead of a full
-	// map walk.
-	minDone int64
 }
 
 func newMSHR() *mshr {
-	return &mshr{pending: make(map[uint64]int64), minDone: NeverCycle}
-}
-
-// nextEvent returns the earliest pending completion strictly after now,
-// or NeverCycle. When the cached bound has gone stale (its entry
-// completed and was lazily deleted), it rescans once — pruning every
-// completed entry on the way, so each insert is scanned O(1) times over
-// its lifetime and the map cannot accumulate dead lines.
-func (m *mshr) nextEvent(now int64) int64 {
-	if len(m.pending) == 0 {
-		return NeverCycle
-	}
-	if m.minDone > now {
-		return m.minDone
-	}
-	min := NeverCycle
-	//simlint:allow determinism -- min and per-entry pruning are order-independent
-	for line, done := range m.pending {
-		if done <= now {
-			delete(m.pending, line)
-			continue
-		}
-		if done < min {
-			min = done
-		}
-	}
-	m.minDone = min
-	return min
+	return &mshr{pending: make(map[uint64]int64)}
 }
 
 func (m *mshr) lookup(line uint64, now int64) (int64, bool) {
@@ -137,8 +97,17 @@ func (m *mshr) lookup(line uint64, now int64) (int64, bool) {
 
 func (m *mshr) insert(line uint64, done int64) {
 	m.pending[line] = done
-	if done < m.minDone {
-		m.minDone = done
+}
+
+// retire deletes every entry whose fill completed at or before now. No
+// access stamped at or after now can merge with such an entry (lookup
+// would discard it), so retiring changes no completion cycle.
+func (m *mshr) retire(now int64) {
+	//simlint:allow determinism -- per-entry deletion is order-independent
+	for line, done := range m.pending {
+		if done <= now {
+			delete(m.pending, line)
+		}
 	}
 }
 
@@ -153,11 +122,15 @@ func (m *mshr) insert(line uint64, done int64) {
 type Hierarchy struct {
 	cfg config.GPU
 	l1  []*Cache
+	//simlint:allow nexteventguard -- L1 MSHRs change only inside AccessGlobal, which only a non-quiescent LSU calls, and in the heartbeat's Retire; each fill's completion is already in the SM writeback heap that SM.NextEvent consults
 	l1m []*mshr
 	//simlint:allow nexteventguard -- sub-component pointer; the cache mutates only via accesses from non-quiescent SMs
-	l2   *Cache
-	l2m  *mshr
+	l2 *Cache
+	//simlint:allow nexteventguard -- the L2 MSHR changes only inside AccessGlobal, which only a non-quiescent LSU calls, and in the heartbeat's Retire; each fill's completion is already in the SM writeback heap that SM.NextEvent consults
+	l2m *mshr
+	//simlint:allow nexteventguard -- the L2 crossbar channel is served only inside AccessGlobal, which only a non-quiescent LSU calls; the queueing delay it adds is already in the SM writeback heap that SM.NextEvent consults
 	l2ch *bwChannel
+	//simlint:allow nexteventguard -- the DRAM channel is served only inside AccessGlobal, which only a non-quiescent LSU calls; the queueing delay it adds is already in the SM writeback heap that SM.NextEvent consults
 	drch *bwChannel
 
 	// L1HitLatency is the load-use latency on an L1 hit (Volta ~28).
@@ -232,44 +205,19 @@ func (h *Hierarchy) accessL2(addr uint64, now int64) int64 {
 // any real event cycle compares smaller.
 const NeverCycle = int64(math.MaxInt64)
 
-// NextEvent returns the earliest cycle strictly after now at which the
-// memory system's time-indexed state changes: a bandwidth channel
-// freeing, or an outstanding MSHR fill completing. It returns NeverCycle
-// when nothing is in flight. The hierarchy is analytic (accesses resolve
-// to completion cycles immediately), so these events never *initiate*
-// work by themselves — the device loop takes the min with the SM events
-// only to bound fast-forward skips conservatively.
-//
-//simlint:hotpath
-func (h *Hierarchy) NextEvent(now int64) int64 {
-	next := NeverCycle
-	if h.l2ch.nextFree > now && h.l2ch.nextFree < next {
-		next = h.l2ch.nextFree
-	}
-	if h.drch.nextFree > now && h.drch.nextFree < next {
-		next = h.drch.nextFree
-	}
-	// MSHR rescans iterate their maps in arbitrary order; the min is
-	// order-independent, so the result stays deterministic.
-	if e := h.l2m.nextEvent(now); e < next {
-		next = e
-	}
+// Retire prunes completed fills from every MSHR. now must be the device
+// cycle: every later access is stamped at or after it. An access
+// timestamp is not a safe bound, because accesses from different SMs
+// reach the L2 stamped out of order, and pruning at one could drop a
+// fill that an earlier-stamped access would still merge with. The device
+// calls Retire once per heartbeat, which both the ticked and the
+// fast-forward paths reach at the same cycles, so the pending maps (and
+// the snapshots that encode them) are identical either way.
+func (h *Hierarchy) Retire(now int64) {
+	h.l2m.retire(now)
 	for _, m := range h.l1m {
-		if e := m.nextEvent(now); e < next {
-			next = e
-		}
+		m.retire(now)
 	}
-	return next
-}
-
-// CongestionDelay estimates current memory-system backpressure for the
-// LSU's admission decision.
-func (h *Hierarchy) CongestionDelay(now int64) int64 {
-	d := h.l2ch.queueDelay(now)
-	if dd := h.drch.queueDelay(now); dd > d {
-		d = dd
-	}
-	return d
 }
 
 // Transactions returns how many 128-byte line transactions a warp-wide

@@ -35,7 +35,6 @@ var (
 	}
 	mshrManifest = map[string]string{
 		"pending": "encoded (sorted by line for byte-determinism)",
-		"minDone": "encoded",
 	}
 	bwChannelManifest = map[string]string{
 		"nextFree":    "encoded",
@@ -149,7 +148,6 @@ func (m *mshr) encodeState(e *snapshot.Encoder) {
 		e.Uvarint(line)
 		e.Varint(m.pending[line])
 	}
-	e.Varint(m.minDone)
 }
 
 func (m *mshr) restoreState(d *snapshot.Decoder) error {
@@ -163,7 +161,6 @@ func (m *mshr) restoreState(d *snapshot.Decoder) error {
 		line := d.Uvarint()
 		m.pending[line] = d.Varint()
 	}
-	m.minDone = d.Varint()
 	return d.Err()
 }
 

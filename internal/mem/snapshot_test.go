@@ -72,7 +72,7 @@ func TestHierarchyRoundTrip(t *testing.T) {
 	}
 
 	// The restored hierarchy must behave identically: same completion
-	// cycles, same hit counters, same next events.
+	// cycles, same hit counters, same outstanding fills.
 	exercise(a, 500, 900)
 	exercise(b, 500, 900)
 	for now := int64(900); now < 950; now++ {
@@ -81,15 +81,23 @@ func TestHierarchyRoundTrip(t *testing.T) {
 		if ca != cb {
 			t.Fatalf("cycle %d: completion %d vs %d after restore", now, ca, cb)
 		}
-		if ea, eb := a.NextEvent(now), b.NextEvent(now); ea != eb {
-			t.Fatalf("cycle %d: NextEvent %d vs %d after restore", now, ea, eb)
-		}
 	}
 	if a.l2.Hits != b.l2.Hits || a.l2.Misses != b.l2.Misses {
 		t.Fatalf("L2 counters diverged: %d/%d vs %d/%d", a.l2.Hits, a.l2.Misses, b.l2.Hits, b.l2.Misses)
 	}
-	if len(a.Audit()) != 0 || len(b.Audit()) != 0 {
-		t.Fatalf("audit violations on healthy hierarchies: %v / %v", a.Audit(), b.Audit())
+	const now = 950
+	a.Retire(now)
+	b.Retire(now)
+	for i := range a.l1m {
+		if !reflect.DeepEqual(a.l1m[i].pending, b.l1m[i].pending) {
+			t.Fatalf("l1m[%d] pending fills diverged after restore", i)
+		}
+	}
+	if !reflect.DeepEqual(a.l2m.pending, b.l2m.pending) {
+		t.Fatal("l2m pending fills diverged after restore")
+	}
+	if va, vb := a.Audit(now), b.Audit(now); len(va) != 0 || len(vb) != 0 {
+		t.Fatalf("audit violations on healthy hierarchies: %v / %v", va, vb)
 	}
 }
 
@@ -121,11 +129,12 @@ func TestAuditCatchesSeededMSHRCorruption(t *testing.T) {
 	cfg.NumSMs = 1
 	h := NewHierarchy(cfg)
 	exercise(h, 0, 100)
-	if vs := h.Audit(); len(vs) != 0 {
+	h.Retire(100)
+	if vs := h.Audit(100); len(vs) != 0 {
 		t.Fatalf("healthy hierarchy reported %v", vs)
 	}
 	h.CorruptMSHRForTest(100)
-	vs := h.Audit()
+	vs := h.Audit(100)
 	if len(vs) == 0 {
 		t.Fatal("seeded MSHR inconsistency not detected")
 	}
@@ -139,7 +148,7 @@ func TestAuditCatchesChannelCorruption(t *testing.T) {
 	cfg.NumSMs = 1
 	h := NewHierarchy(cfg)
 	h.drch.fracPending = -3
-	vs := h.Audit()
+	vs := h.Audit(0)
 	found := false
 	for _, v := range vs {
 		if v.Rule == "channel" {

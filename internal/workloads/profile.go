@@ -19,6 +19,7 @@ package workloads
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/gpu"
 	"repro/internal/isa"
@@ -106,6 +107,9 @@ func (p *Profile) Kernel() *gpu.Kernel {
 		iters int64
 		flip  bool
 	}
+	// Cells of the same app share this kernel and may run concurrently,
+	// so the memo is locked.
+	var mu sync.Mutex
 	cache := make(map[key]*program.Program)
 	base := func(mult float64, flip bool) *program.Program {
 		iters := int64(float64(p.Iters)*mult + 0.5)
@@ -113,11 +117,13 @@ func (p *Profile) Kernel() *gpu.Kernel {
 			iters = 1
 		}
 		k := key{iters, flip}
-		if prog, ok := cache[k]; ok {
-			return prog
+		mu.Lock()
+		prog, ok := cache[k]
+		if !ok {
+			prog = p.build(iters, flip)
+			cache[k] = prog
 		}
-		prog := p.build(iters, flip)
-		cache[k] = prog
+		mu.Unlock()
 		return prog
 	}
 	return &gpu.Kernel{

@@ -314,3 +314,35 @@ func BenchmarkBuildAll(b *testing.B) {
 		sinkProg = apps[0].Kernels[0].WarpProgram(0, 0)
 	}
 }
+
+// TestKernelWarpProgramConcurrent calls one fresh kernel's WarpProgram
+// from two goroutines, as concurrent cells of the same app do. Under
+// -race an unguarded program memo fails here; without -race the two
+// callers must still agree on every memoized program.
+func TestKernelWarpProgramConcurrent(t *testing.T) {
+	p := Profile{
+		Name: "memo-race", Blocks: 8, WarpsPerBlock: 8, RegsPerThread: 32,
+		Iters: 8, ILP: 2, FMAs: 2, OperandMode: OperandsClustered,
+		WarpWork: func(w int) float64 { return 1 + float64(w%4)/4 },
+	}
+	k := p.Kernel()
+	progs := make([][]*program.Program, 2)
+	done := make(chan int)
+	for g := range progs {
+		go func(g int) {
+			for b := 0; b < p.Blocks; b++ {
+				for w := 0; w < p.WarpsPerBlock; w++ {
+					progs[g] = append(progs[g], k.WarpProgram(b, w))
+				}
+			}
+			done <- g
+		}(g)
+	}
+	<-done
+	<-done
+	for i := range progs[0] {
+		if progs[0][i] != progs[1][i] {
+			t.Fatalf("warp %d: goroutines got different memoized programs", i)
+		}
+	}
+}
