@@ -9,7 +9,7 @@ import (
 // TestFastForwardInert proves the run loop's idle-cycle fast-forward is
 // observationally inert on real workloads: for one application from
 // every benchmark suite, plus the load-bound apps whose skips span
-// outstanding memory fills, under both GTO and RBA scheduling, the full
+// outstanding memory fills, under GTO, RBA and LRR scheduling, the full
 // statistics object serializes byte-identically with fast-forward
 // enabled and disabled.
 func TestFastForwardInert(t *testing.T) {
@@ -23,6 +23,7 @@ func TestFastForwardInert(t *testing.T) {
 	}{
 		{"gto", VoltaV100().WithSMs(2)},
 		{"rba", VoltaV100().WithSMs(2).WithScheduler(SchedRBA)},
+		{"lrr", VoltaV100().WithSMs(2).WithScheduler(SchedLRR)},
 	}
 	var apps []App
 	for _, suite := range suites {

@@ -408,6 +408,7 @@ func (g GPU) Validate() error {
 		{g.SchedulersPerSubCore >= 1, "SchedulersPerSubCore must be >= 1"},
 		{g.MaxWarpsPerSM >= g.SubCoresPerSM, "MaxWarpsPerSM must cover every sub-core"},
 		{g.SubCoresPerSM < 1 || g.MaxWarpsPerSM%g.SubCoresPerSM == 0, "MaxWarpsPerSM must divide evenly among sub-cores"},
+		{g.SubCoresPerSM < 1 || g.WarpsPerSubCore() <= 64, "a sub-core holds at most 64 warps (MaxWarpsPerSM/SubCoresPerSM); its issue stage tracks slots in 64-bit masks"},
 		{g.WarpSize == 32, "WarpSize must be 32"},
 		{g.BanksPerSubCore >= 1, "BanksPerSubCore must be >= 1"},
 		{g.CollectorUnitsPerSubCore >= 1, "CollectorUnitsPerSubCore must be >= 1"},

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -127,6 +128,36 @@ func TestValidateCatchesViolations(t *testing.T) {
 		if err := g.Validate(); err == nil {
 			t.Errorf("mutation %d passed validation", i)
 		}
+	}
+}
+
+// TestValidateCapsWarpsPerSubCore: a sub-core's issue stage tracks its
+// warp slots in 64-bit masks, so a config asking for more than 64 warps
+// per sub-core — e.g. the fully-connected SM decoded from JSON with
+// MaxWarpsPerSM 128 — must be rejected, while exactly 64 is allowed.
+func TestValidateCapsWarpsPerSubCore(t *testing.T) {
+	raw, err := json.Marshal(FullyConnected())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fc GPU
+	if err := json.Unmarshal(raw, &fc); err != nil {
+		t.Fatal(err)
+	}
+	if fc.WarpsPerSubCore() != 64 {
+		t.Fatalf("FC has %d warps per sub-core, want 64", fc.WarpsPerSubCore())
+	}
+	if err := fc.Validate(); err != nil {
+		t.Errorf("64 warps per sub-core rejected: %v", err)
+	}
+	fc.MaxWarpsPerSM = 128
+	if err := fc.Validate(); err == nil || !strings.Contains(err.Error(), "64") {
+		t.Errorf("FC with 128 warps per sub-core: Validate() = %v, want the 64-warp cap", err)
+	}
+	v := VoltaV100()
+	v.MaxWarpsPerSM = 4 * 65
+	if err := v.Validate(); err == nil {
+		t.Error("Volta with 65 warps per sub-core passed validation")
 	}
 }
 

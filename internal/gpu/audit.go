@@ -49,7 +49,7 @@ func (g *GPU) AuditCheck() []audit.Violation {
 }
 
 // ArmCorruptionForTest schedules a seeded state corruption of the given
-// kind ("scoreboard", "lease", or "mshr") to be applied at the next
+// kind ("scoreboard", "lease", "mshr", or "readyset") to be applied at the next
 // heartbeat — mid-kernel, exactly where real corruption would strike —
 // so tests can prove the armed auditor turns it into an AuditError.
 // Never call outside tests.
@@ -73,6 +73,9 @@ func (g *GPU) applyCorruption() {
 		g.corruptKind = ""
 	case "mshr":
 		g.hier.CorruptMSHRForTest(g.cycle)
+		g.corruptKind = ""
+	case "readyset":
+		g.sms[0].CorruptReadySetForTest()
 		g.corruptKind = ""
 	default:
 		panic(fmt.Sprintf("gpu: unknown test corruption kind %q", g.corruptKind))

@@ -271,6 +271,7 @@ func TestAuditCatchesArmedCorruption(t *testing.T) {
 		{"scoreboard", "scoreboard"},
 		{"lease", "lease"},
 		{"mshr", "mshr"},
+		{"readyset", "readyset"},
 	} {
 		t.Run(tc.kind, func(t *testing.T) {
 			cfg := config.VoltaV100()

@@ -62,6 +62,10 @@ func popcount(sb *[sbWords]uint64) int {
 //   - shmem: SM shared-memory free space vs active blocks' reservations.
 //   - lsu: queue bound and entry validity.
 //   - residency: per-block warp lifecycle counts (exited, at-barrier).
+//   - readyset: each sub-core's maintained slot bitmasks (ready, hazard,
+//     decode, active, barrier) must equal a from-scratch recomputation
+//     over its slots — an event that changed a warp's issue state without
+//     refreshing its slot breaks this law.
 func (sm *SM) Audit() []audit.Violation {
 	var vs []audit.Violation
 	where := fmt.Sprintf("sm%d", sm.id)
@@ -233,6 +237,10 @@ func (sm *SM) Audit() []audit.Violation {
 			vs = append(vs, audit.Violationf("regbudget", sub,
 				"freeRegBytes=%d, hosted warps imply %d", sc.freeRegBytes, want))
 		}
+		if want := sc.scanSets(); want != sc.sets {
+			vs = append(vs, audit.Violationf("readyset", sub,
+				"maintained slot sets %+v, warp state implies %+v", sc.sets, want))
+		}
 	}
 
 	// LSU bounds.
@@ -255,6 +263,13 @@ func (sm *SM) Audit() []audit.Violation {
 // (see regfile.Collector.CorruptLeaseForTest). Never call outside tests.
 func (sm *SM) CorruptLeaseForTest() {
 	sm.subcores[0].coll.CorruptLeaseForTest()
+}
+
+// CorruptReadySetForTest flips slot 0's bit in sub-core 0's ready set,
+// a slot-set inconsistency the readyset law always detects. Never call
+// outside tests.
+func (sm *SM) CorruptReadySetForTest() {
+	sm.subcores[0].sets.ready ^= 1
 }
 
 // CorruptScoreboardForTest seeds a guaranteed-detectable scoreboard

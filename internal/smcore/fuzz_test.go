@@ -12,7 +12,8 @@ import (
 
 // FuzzSMExecution decodes arbitrary bytes into a program + block shape
 // and asserts the SM's global invariants: it always drains, issues
-// exactly the dynamic instruction count, and restores every resource.
+// exactly the dynamic instruction count, restores every resource, and
+// keeps its slot sets coherent with the warps after every cycle.
 func FuzzSMExecution(f *testing.F) {
 	f.Add([]byte{4, 8, 1, 2, 3, 0, 1, 2}, uint8(4), uint8(16))
 	f.Add([]byte{2, 0, 0}, uint8(1), uint8(8))
@@ -64,6 +65,7 @@ func FuzzSMExecution(f *testing.F) {
 		}
 		for c := int64(0); ; c++ {
 			sm.Tick(c)
+			checkReadySets(t, sm, c)
 			if sm.Drained() {
 				break
 			}

@@ -115,15 +115,16 @@ func (h *wbHeap) pop() wbEvent {
 //
 //snapshot:state
 type SM struct {
-	id    int
-	cfg   *config.GPU
+	id  int
+	cfg *config.GPU
+	//simlint:allow nexteventguard -- warp contexts reach NextEvent through the sub-cores' slot sets, refreshed at every event that changes a warp's issue, decode or lifecycle state (coherence: checkReadySets, Audit readyset law)
 	warps []Warp
 	//simlint:allow nexteventguard -- slot bookkeeping changes only at placement/retirement; retirement needs warp exits, placement is driven by the run loop itself
 	blocks   []block
 	subcores []*SubCore
 	assigner core.Assigner
 	lsu      *LSU
-	//simlint:allow nexteventguard -- sub-component pointer; the hierarchy's own NextEvent is consulted by the device loop
+	//simlint:allow nexteventguard -- sub-component pointer; the hierarchy is analytic and mutates only inside AccessGlobal, which only a non-quiescent LSU calls, with every fill's completion already in the writeback heap NextEvent consults
 	hier *mem.Hierarchy
 	st   *stats.SM
 	run  *stats.Run
@@ -305,6 +306,7 @@ func (sm *SM) Allocate(b *BlockSpec) error {
 		gid := b.FirstWarpGID + int64(wi)
 		resetWarp(&sm.warps[warpIdx], gid, int32(blkSlot), int8(scID), schedSlot, sm.ageCounter, prog)
 		sm.warps[warpIdx].BankOff = int16(regfile.SlotOffset(int(schedSlot), sm.cfg.BankSwizzle))
+		sc.refresh(int(schedSlot))
 		sm.ageCounter++
 		blk.warpIdxs = append(blk.warpIdxs, int32(warpIdx))
 		sm.residentWarps++
@@ -364,7 +366,8 @@ func (sm *SM) warpAtBarrier(w *Warp) {
 }
 
 // checkBarrierRelease opens the barrier once every non-exited warp of the
-// block has arrived (exited warps no longer participate).
+// block has arrived (exited warps no longer participate). Released warps
+// may sit in any sub-core; each refreshes its slot there.
 func (sm *SM) checkBarrierRelease(blk *block) {
 	alive := blk.warpsTotal - blk.warpsExited
 	if blk.barrierWaiting == 0 || blk.barrierWaiting < alive {
@@ -372,8 +375,10 @@ func (sm *SM) checkBarrierRelease(blk *block) {
 	}
 	blk.barrierWaiting = 0
 	for _, wi := range blk.warpIdxs {
-		if sm.warps[wi].State == WarpAtBarrier {
-			sm.warps[wi].State = WarpActive
+		w := &sm.warps[wi]
+		if w.State == WarpAtBarrier {
+			w.State = WarpActive
+			sm.subcores[w.SubCore].refresh(int(w.SchedSlot))
 		}
 	}
 }
@@ -495,7 +500,7 @@ func (sm *SM) NextEvent(now int64) int64 {
 // covering the span when the SM is traced.
 func (sm *SM) FastForward(now, n int64) {
 	for _, sc := range sm.subcores {
-		sc.fastForward(now, n)
+		sc.fastForward(n)
 	}
 	if sm.traceReads {
 		for i := int64(0); i < n; i++ {

@@ -80,6 +80,7 @@ var (
 		"coll":         "encoded",
 		"eu":           "encoded (per-pipe next-free cycles; widths derived from config)",
 		"freeRegBytes": "encoded",
+		"sets":         "skip: derived slot bitmasks, rebuilt from the restored warps by scanSets",
 		"st":           "skip: stats pointer; stats.Run is serialized by gpu",
 		"tr":           "skip: tracer wiring, reattached via SetTracer",
 		"cands":        "skip: per-cycle scratch",
@@ -232,6 +233,7 @@ func (sm *SM) RestoreState(d *snapshot.Decoder, progFor ProgramResolver) error {
 		if err := sc.restoreState(d); err != nil {
 			return err
 		}
+		sc.sets = sc.scanSets()
 	}
 	return d.Err()
 }
