@@ -1,6 +1,6 @@
 // Command benchdiff compares two performance baselines written by
 // `sweep -bench-out` (the BENCH_<date>.json format of internal/bench)
-// and gates on geomean IPC regression.
+// and gates on geomean IPC regression and on coverage.
 //
 // Usage:
 //
@@ -10,8 +10,9 @@
 //
 // The comparison covers only deterministic fields (IPC, CPI-stack
 // shares); wall-clock throughput is informational and never gates.
-// Exit status: 0 = within threshold, 1 = regression, 2 = usage or I/O
-// error.
+// The gate also fails when no cells match or when a cell of the old
+// baseline is missing from the new one (bench.Diff.Gate). Exit status:
+// 0 = pass, 1 = gate failure, 2 = usage or I/O error.
 package main
 
 import (
@@ -48,9 +49,8 @@ func main() {
 
 	d := bench.Compare(old, cur)
 	d.Render(os.Stdout, *threshold)
-	if d.Regression(*threshold) {
-		fmt.Fprintf(os.Stderr, "benchdiff: REGRESSION: geomean IPC ratio %.4f < %.4f\n",
-			d.Geomean, 1-*threshold)
+	if err := d.Gate(*threshold); err != nil {
+		fmt.Fprintln(os.Stderr, "benchdiff: FAIL:", err)
 		if !*warn {
 			os.Exit(1)
 		}

@@ -66,9 +66,6 @@ func main() {
 		maxCyc   = flag.Int64("max-cycles", 0, "per-kernel simulated-cycle cap (0 = simulator default)")
 		metAddr  = flag.String("metrics-addr", "", "serve live telemetry on this address (e.g. 127.0.0.1:9090; empty = off)")
 		noFF     = flag.Bool("no-fastforward", false, "disable the idle-cycle fast-forward (debugging escape hatch; results are identical, only slower)")
-		snapDir  = flag.String("snapshot-dir", "", "persist mid-kernel device snapshots to this directory (resume with -resume-snapshots)")
-		snapEvr  = flag.Int64("snapshot-interval", 0, "simulated-cycle period between periodic snapshots (0 = only the final frame on SIGTERM/Ctrl-C; needs -snapshot-dir)")
-		resumeS  = flag.Bool("resume-snapshots", false, "resume an interrupted run mid-kernel from its -snapshot-dir frame (byte-identical results)")
 		auditEv  = flag.Int64("audit", 0, "run the runtime invariant auditor every N simulated cycles; violations fault the run as a structured audit fault (0 = off)")
 	)
 	flag.Parse()
@@ -177,9 +174,6 @@ func main() {
 		Timeout:          *timeout,
 		MaxCycles:        *maxCyc,
 		WatchdogInterval: time.Second,
-		SnapshotDir:      *snapDir,
-		SnapshotInterval: *snapEvr,
-		ResumeSnapshots:  *resumeS,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

@@ -22,15 +22,9 @@
 // faulted. With -checkpoint, completed cells stream to an append-only
 // JSONL file and a re-run with the same flags resumes, re-running only
 // the missing/faulted cells. Interrupting with Ctrl-C or SIGTERM
-// checkpoints cleanly.
-//
-// With -snapshot-dir, each in-flight cell additionally persists its full
-// mid-kernel device state — periodically under -snapshot-interval, and
-// always on a graceful shutdown signal — and a restart with
-// -resume-snapshots continues those cells mid-kernel with byte-identical
-// final statistics (docs/ROBUSTNESS.md). -audit N arms the runtime
-// invariant auditor every N cycles; a corrupted simulation dies as a
-// structured audit fault instead of producing silently wrong numbers.
+// checkpoints cleanly. -audit N arms the runtime invariant auditor
+// every N cycles; a corrupted simulation dies as a structured audit
+// fault instead of producing silently wrong numbers.
 //
 // With -profile the sweep runs serially and emits a machine-readable
 // simulator-performance report instead of the CSV: per-app wall-clock,
@@ -58,7 +52,6 @@ import (
 
 	"repro"
 	"repro/internal/bench"
-	"repro/internal/exp"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/workloads"
@@ -81,9 +74,6 @@ func main() {
 		metricsAt = flag.String("metrics-addr", "", "serve live telemetry on this address (e.g. 127.0.0.1:9090; empty = off)")
 		benchOut  = flag.String("bench-out", "", "write the completed matrix as a performance baseline JSON (for benchdiff)")
 		noFF      = flag.Bool("no-fastforward", false, "disable the idle-cycle fast-forward (debugging escape hatch; results are identical, only slower)")
-		snapDir   = flag.String("snapshot-dir", "", "persist per-cell mid-kernel device snapshots to this directory (resume with -resume-snapshots)")
-		snapEvery = flag.Int64("snapshot-interval", 0, "simulated-cycle period between periodic snapshots (0 = only the final frame on SIGTERM/Ctrl-C; needs -snapshot-dir)")
-		resumeSnp = flag.Bool("resume-snapshots", false, "resume interrupted cells mid-kernel from their -snapshot-dir frames (results are byte-identical to uninterrupted runs)")
 		auditEv   = flag.Int64("audit", 0, "run the runtime invariant auditor every N simulated cycles; violations fault the cell as a structured audit fault (0 = off)")
 	)
 	flag.Parse()
@@ -111,7 +101,7 @@ func main() {
 	}
 
 	if *profile != "" {
-		rep, err := exp.Profile(cfgs, names, apps)
+		rep, err := bench.Profile(cfgs, names, apps)
 		if err != nil {
 			fatal(err)
 		}
@@ -131,10 +121,8 @@ func main() {
 	}
 
 	// Ctrl-C and SIGTERM cancel the sweep gracefully: completed cells are
-	// already in the checkpoint, and with -snapshot-dir each in-flight
-	// cell writes a final mid-kernel frame on its way down — a re-run
-	// with -resume-snapshots continues those cells where the signal
-	// landed instead of re-simulating them.
+	// already in the checkpoint, and a re-run with the same -checkpoint
+	// re-simulates only the cells that were in flight.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
@@ -158,9 +146,6 @@ func main() {
 		WatchdogInterval: *watchdog,
 		CheckpointPath:   *ckpt,
 		DiagDir:          *diag,
-		SnapshotDir:      *snapDir,
-		SnapshotInterval: *snapEvery,
-		ResumeSnapshots:  *resumeSnp,
 		Metrics:          reg,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)

@@ -6,21 +6,21 @@
 // The suite enforces the invariants the reproduction's headline numbers
 // rest on — bit-deterministic sweeps, an allocation-free cycle loop,
 // nil-guarded trace emission, structured fault propagation,
-// hang-supervision polling, and snapshot-manifest coverage — at the
-// source level, where review and dynamic tests alone cannot keep up
-// with the tree. Each analyzer's rationale is documented in
+// hang-supervision polling, and CPI-stack wiring — at the source
+// level, where review and dynamic tests alone cannot keep up with the
+// tree. Each analyzer's rationale is documented in
 // docs/STATIC_ANALYSIS.md.
 //
 // Three comment directives tune the suite:
-//
-//	//snapshot:state
-//	    on a struct's doc comment declares it mutable device state,
-//	    requiring a <x>Manifest coverage ledger (snapshotguard).
 //
 //	//simlint:hotpath
 //	    on a function's doc comment marks it per-cycle, opting it into
 //	    the hotpath analyzer even when its name does not match the
 //	    hot-name pattern.
+//
+//	//simlint:cold
+//	    on a function's doc comment marks it off the per-cycle path,
+//	    stopping the hotpath analyzer's descent into it.
 //
 //	//simlint:allow <analyzer>[,<analyzer>...] -- <reason>
 //	    suppresses findings. On its own line (or trailing the offending
@@ -57,7 +57,7 @@ type Analyzer struct {
 }
 
 // All is the registry of simlint's analyzers, in report order.
-var All = []*Analyzer{Determinism, Hotpath, Traceguard, Faultflow, Monitorpoll, Snapshotguard, Cpiguard, Nexteventguard, Clocktaint, Configfreeze, Goroutineshare}
+var All = []*Analyzer{Determinism, Hotpath, Traceguard, Faultflow, Monitorpoll, Cpiguard, Clocktaint, Configfreeze, Goroutineshare}
 
 // ByName resolves a subset of All from comma-separated names.
 func ByName(names string) ([]*Analyzer, error) {

@@ -6,7 +6,7 @@ import (
 )
 
 // BenchmarkSimlint measures a whole-module analysis pass — load,
-// type-check, all eleven analyzers — the same work `go run ./cmd/simlint
+// type-check, all nine analyzers — the same work `go run ./cmd/simlint
 // ./...` performs. CI runs it once as a smoke with a wall-clock budget
 // (see .github/workflows/ci.yml); the point is to keep the linter cheap
 // enough to sit in the tier-1 gate.
@@ -52,7 +52,7 @@ func BenchmarkDataflow(b *testing.B) {
 // superlinear), not to tune constants.
 const simlintBudget = 30 * time.Second
 
-// TestSimlintBudget asserts the whole-module eleven-analyzer pass fits
+// TestSimlintBudget asserts the whole-module nine-analyzer pass fits
 // the CI budget, and logs the measured time so regressions are visible
 // in test output before they ever trip the ceiling.
 func TestSimlintBudget(t *testing.T) {

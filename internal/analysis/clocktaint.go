@@ -10,17 +10,18 @@ import (
 // or the global math/rand?"; this one asks the finer question the
 // dataflow engine (dataflow.go) makes answerable: "does a value
 // *derived* from those sources reach state the reproduction's numbers
-// rest on?" — a //snapshot:state field (the resumed run would diverge
-// from the undisturbed one byte-for-byte), a stats-package counter
-// (exported tables would stop being bit-deterministic), or a NextEvent
-// result (fast-forward would skip to a wall-clock-dependent cycle).
+// rest on?" — a field of a struct declared in a simulation package
+// (the determinism analyzer's scope: two identical runs would diverge
+// byte-for-byte), a stats-package counter (exported tables would stop
+// being bit-deterministic), or a NextEvent result (fast-forward would
+// skip to a wall-clock-dependent cycle).
 //
 // Wall-clock reads outside those sinks are legitimate — the harness
-// times cells and paces snapshots with them — which is exactly why the
-// call-level pass scopes itself to simulation packages and this pass
-// instead follows the values: a time.Since in the harness is fine
-// until its result is laundered, through locals, helper returns, and
-// arguments, into snapshotted or aggregated state.
+// times cells with them — which is exactly why the call-level pass
+// scopes itself to simulation packages and this pass instead follows
+// the values: a time.Since in the harness is fine until its result is
+// laundered, through locals, helper returns, and arguments, into
+// simulation or aggregated state.
 //
 // Each finding carries the full value-flow chain from the source call
 // to the sink store, hop by hop, so the propagation can be audited at
@@ -29,7 +30,7 @@ import (
 var Clocktaint = &Analyzer{
 	Name: "clocktaint",
 	Doc: "flag values derived from time.Now/time.Since or the global " +
-		"math/rand stream that reach a //snapshot:state field, a stats " +
+		"math/rand stream that reach a simulation-state field, a stats " +
 		"counter, or a NextEvent result — value-level determinism holes " +
 		"the call-level pass cannot see",
 	RunProgram: runClocktaint,
@@ -68,20 +69,25 @@ func clockSource(pkg *Package, n ast.Node) (string, bool) {
 
 func runClocktaint(pp *ProgramPass) error {
 	d := RunDataflow(pp.Prog, TaintSpec{Source: clockSource})
-	stateFields, _ := collectStateFields(pp.Prog)
+	simPkgs := map[string]bool{}
+	for _, pkg := range pp.Prog.Pkgs {
+		if determinismInScope(pkg) {
+			simPkgs[pkg.Path] = true
+		}
+	}
 
 	for _, ft := range d.FieldTaints {
 		sf := ft.Field
 		dot := strings.LastIndexByte(sf.owner, '.')
 		ownerPkg, short := sf.owner[:dot], sf.owner[dot+1:]
 		switch {
-		case stateFields[sf] != nil:
-			pp.ReportChainf(ft.Pkg, ft.Pos, ft.Flow.Chain(),
-				"wall-clock/rand-derived value stored into //snapshot:state field %s.%s (%s) — snapshotted state must be cycle-derived or a resumed run diverges from the undisturbed one; derive the value from simulated cycles, or justify with //simlint:allow clocktaint",
-				short, sf.field, ft.Flow.Chain())
 		case pathIn(ownerPkg, clocktaintStatsScope):
 			pp.ReportChainf(ft.Pkg, ft.Pos, ft.Flow.Chain(),
 				"wall-clock/rand-derived value stored into stats field %s.%s (%s) — aggregated results must be bit-deterministic across identical runs; derive the value from simulated cycles, or justify with //simlint:allow clocktaint",
+				short, sf.field, ft.Flow.Chain())
+		case simPkgs[ownerPkg]:
+			pp.ReportChainf(ft.Pkg, ft.Pos, ft.Flow.Chain(),
+				"wall-clock/rand-derived value stored into simulation-state field %s.%s (%s) — simulation state must be cycle-derived or two identical runs diverge; derive the value from simulated cycles, or justify with //simlint:allow clocktaint",
 				short, sf.field, ft.Flow.Chain())
 		}
 	}

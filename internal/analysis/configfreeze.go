@@ -7,12 +7,11 @@ import (
 	"strings"
 )
 
-// Configfreeze pins the configuration-immutability contract snapshot
-// identity rests on: a snapshot frame is only resumable into a GPU
-// built from the *same* config (gpu.WriteSnapshot embeds it; Restore
-// rejects mismatches), and the auditor, fast-forward, and CPI
-// accounting all assume the config a component captured at
-// construction never changes underneath it. So config values may be
+// Configfreeze pins the configuration-immutability contract: the
+// auditor, fast-forward, and CPI accounting all assume the config a
+// component captured at construction never changes underneath it, and
+// a run's statistics are only reproducible from the config it was
+// labelled with if that config stayed fixed. So config values may be
 // built up freely *before* construction — `cfg := config.VoltaV100();
 // cfg.NumSMs = 4` in a main, a With* option method mutating its value
 // receiver — but once a pointer into a live config exists, every write
@@ -43,7 +42,7 @@ var Configfreeze = &Analyzer{
 	Doc: "flag writes into config-package structs after construction — " +
 		"through pointers, into configs embedded in live state, or to " +
 		"package-level config values; config is frozen once gpu.New " +
-		"copies it, and snapshot/resume identity depends on that",
+		"copies it, and every component's captured view depends on that",
 	RunProgram: runConfigfreeze,
 }
 
@@ -121,7 +120,7 @@ func (c *cfreeze) chainFor(pkg *Package, base ast.Expr) string {
 			}
 		}
 	case *ast.SelectorExpr:
-		if sf, ok := stateFieldOf(pkg.Info, b); ok {
+		if sf, ok := fieldKeyOf(pkg.Info, b); ok {
 			if fl := c.dataflow().FieldFlow(sf); fl != nil {
 				return fl.Chain()
 			}
@@ -169,7 +168,7 @@ func runConfigfreeze(pp *ProgramPass) error {
 		pp.Reportf(pkg, pos, format, args...)
 	}
 	checkFieldWrite := func(pkg *Package, sel *ast.SelectorExpr, verb string) {
-		sf, ok := stateFieldOf(pkg.Info, sel)
+		sf, ok := fieldKeyOf(pkg.Info, sel)
 		if !ok || !configPkg(sf.owner[:strings.LastIndexByte(sf.owner, '.')]) {
 			return
 		}
@@ -178,7 +177,7 @@ func runConfigfreeze(pp *ProgramPass) error {
 		}
 		short := sf.owner[strings.LastIndexByte(sf.owner, '.')+1:]
 		report(pkg, sel.Sel.Pos(), sel.X,
-			"config field %s.%s %s outside a constructor/option func — config is frozen after construction (snapshot/resume identity and every component's captured view depend on it); build the value before gpu.New or add an option method in the config package, or justify with //simlint:allow configfreeze",
+			"config field %s.%s %s outside a constructor/option func — config is frozen after construction (every component's captured view depends on it); build the value before gpu.New or add an option method in the config package, or justify with //simlint:allow configfreeze",
 			short, sf.field, verb)
 	}
 	for _, pkg := range pp.Prog.Pkgs {
@@ -204,11 +203,11 @@ func runConfigfreeze(pp *ProgramPass) error {
 								// Whole-struct replacement of an embedded config
 								// (d.cfg = other) — the field's owner is not a
 								// config struct, so checkFieldWrite won't see it.
-								if sf, ok := stateFieldOf(pkg.Info, sel); ok &&
+								if sf, ok := fieldKeyOf(pkg.Info, sel); ok &&
 									!configPkg(sf.owner[:strings.LastIndexByte(sf.owner, '.')]) &&
 									configNamed(pkg.Info.TypeOf(sel)) != nil {
 									report(pkg, sel.Sel.Pos(), sel.X,
-										"whole config value %s.%s replaced outside a constructor/option func — every component captured the original at construction and snapshot/resume identity depends on it; construct a new GPU instead, or justify with //simlint:allow configfreeze",
+										"whole config value %s.%s replaced outside a constructor/option func — every component captured the original at construction; construct a new GPU instead, or justify with //simlint:allow configfreeze",
 										sf.owner[strings.LastIndexByte(sf.owner, '.')+1:], sf.field)
 								}
 								continue

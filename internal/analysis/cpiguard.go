@@ -350,3 +350,35 @@ func baseSelector(e ast.Expr) *ast.SelectorExpr {
 		}
 	}
 }
+
+// stringLit unquotes a basic string literal expression.
+func stringLit(expr ast.Expr) (string, bool) {
+	bl, ok := ast.Unparen(expr).(*ast.BasicLit)
+	if !ok || bl.Kind != token.STRING || len(bl.Value) < 2 {
+		return "", false
+	}
+	// Ledger keys and values are plain double-quoted literals without
+	// escapes in practice; an escaped literal just skips the entry.
+	if bl.Value[0] == '`' {
+		return strings.Trim(bl.Value, "`"), true
+	}
+	s := bl.Value[1 : len(bl.Value)-1]
+	if strings.ContainsRune(s, '\\') {
+		return "", false
+	}
+	return s, true
+}
+
+// isMapStringString matches the ast of `map[string]string`.
+func isMapStringString(expr ast.Expr) bool {
+	mt, ok := expr.(*ast.MapType)
+	if !ok {
+		return false
+	}
+	k, ok := mt.Key.(*ast.Ident)
+	if !ok || k.Name != "string" {
+		return false
+	}
+	v, ok := mt.Value.(*ast.Ident)
+	return ok && v.Name == "string"
+}

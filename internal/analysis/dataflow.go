@@ -17,7 +17,7 @@ import (
 // the dataflow analyzers built on this engine (clocktaint,
 // configfreeze) ask the finer question "does this *value* reach that
 // *place?" — a time.Now result laundered through three locals and a
-// helper's return value into a //snapshot:state field is invisible to
+// helper's return value into a simulation-state field is invisible to
 // the call-level passes and exactly what this engine tracks.
 //
 // Like the call graph, the engine is conservative by construction:
@@ -26,7 +26,10 @@ import (
 //
 //   - An expression is tainted when any sub-expression of it is a
 //     source, a use of a tainted variable, a read of a tainted field,
-//     or a call whose (loaded) callee may return taint. Conversions,
+//     or a call whose (loaded) callee may return taint. A call to a
+//     loaded callee is tainted only through its results: its arguments
+//     flow into the callee's parameters instead, so New(stamp) is clean
+//     when New does not return stamp. Conversions,
 //     arithmetic, indexing, interface boxing, and calls to *unloaded*
 //     callees (stdlib) all launder taint through — `int64(t)`,
 //     `fmt.Sprintf("%d", t)`, and `t.UnixNano()` are as tainted as t.
@@ -142,11 +145,18 @@ type TaintSpec struct {
 	Source func(pkg *Package, n ast.Node) (string, bool)
 }
 
+// fieldKey identifies one struct field by its declaring package,
+// struct name and field name, across package views.
+type fieldKey struct {
+	owner string // pkgPath + "." + structName
+	field string
+}
+
 // FieldTaint is one program point where a tainted value is stored into
 // a struct field — the engine's sink-event stream, in deterministic
 // discovery order.
 type FieldTaint struct {
-	Field stateField
+	Field fieldKey
 	Pkg   *Package
 	Pos   token.Pos
 	Flow  *Flow
@@ -168,7 +178,7 @@ type Dataflow struct {
 	spec TaintSpec
 
 	vars   map[types.Object]*Flow
-	fields map[stateField]*Flow
+	fields map[fieldKey]*Flow
 	// results is indexed by result position: returning `run, wall, err`
 	// with only wall tainted taints index 1 alone, and a tuple
 	// assignment at the call site routes result i to lvalue i. Without
@@ -198,7 +208,7 @@ func (d *Dataflow) VarFlow(obj types.Object) *Flow { return d.vars[obj] }
 
 // FieldFlow returns the taint flow that reached the field, nil when
 // untainted.
-func (d *Dataflow) FieldFlow(sf stateField) *Flow { return d.fields[sf] }
+func (d *Dataflow) FieldFlow(sf fieldKey) *Flow { return d.fields[sf] }
 
 // RunDataflow computes the program's taint closure under spec: seeds
 // every source, then iterates the transfer rules to a fixpoint.
@@ -208,7 +218,7 @@ func RunDataflow(prog *Program, spec TaintSpec) *Dataflow {
 		g:           prog.CallGraph(),
 		spec:        spec,
 		vars:        map[types.Object]*Flow{},
-		fields:      map[stateField]*Flow{},
+		fields:      map[fieldKey]*Flow{},
 		results:     map[*CGNode][]*Flow{},
 		fieldSeen:   map[token.Pos]bool{},
 		retSeen:     map[token.Pos]bool{},
@@ -606,7 +616,7 @@ func (d *Dataflow) transferComposite(n *CGNode, cl *ast.CompositeLit) {
 			continue
 		}
 		if fl := d.exprTaint(n, val); fl != nil {
-			d.taintField(n, stateField{owner: owner, field: fieldName},
+			d.taintField(n, fieldKey{owner: owner, field: fieldName},
 				val.Pos(), named.Obj().Name()+"."+fieldName+" (composite literal)", fl)
 		}
 	}
@@ -622,7 +632,7 @@ func (d *Dataflow) assignTo(n *CGNode, lhs ast.Expr, fl *Flow) {
 	case *ast.Ident:
 		d.taintIdent(n, l, fl)
 	case *ast.SelectorExpr:
-		if sf, ok := stateFieldOf(info, l); ok {
+		if sf, ok := fieldKeyOf(info, l); ok {
 			short := sf.owner[strings.LastIndexByte(sf.owner, '.')+1:]
 			d.taintField(n, sf, l.Sel.Pos(), short+"."+sf.field, fl)
 			return
@@ -665,7 +675,7 @@ func (d *Dataflow) taintVar(n *CGNode, obj types.Object, pos token.Pos, desc str
 }
 
 // taintField marks one struct field tainted and records the sink event.
-func (d *Dataflow) taintField(n *CGNode, sf stateField, pos token.Pos, desc string, fl *Flow) {
+func (d *Dataflow) taintField(n *CGNode, sf fieldKey, pos token.Pos, desc string, fl *Flow) {
 	ext := fl.extend(n.Pkg, pos, desc)
 	if d.fields[sf] == nil {
 		d.fields[sf] = ext
@@ -721,14 +731,15 @@ func (d *Dataflow) exprTaint(n *CGNode, e ast.Expr) *Flow {
 				}
 			}
 		case *ast.SelectorExpr:
-			if sf, ok := stateFieldOf(info, x); ok {
+			if sf, ok := fieldKeyOf(info, x); ok {
 				if fl := d.fields[sf]; fl != nil {
 					found = fl
 					return false
 				}
 			}
 		case *ast.CallExpr:
-			for _, t := range d.siteTargets[n][x.Pos()] {
+			targets := d.siteTargets[n][x.Pos()]
+			for _, t := range targets {
 				for _, fl := range d.results[t] {
 					if fl != nil {
 						found = fl
@@ -736,6 +747,10 @@ func (d *Dataflow) exprTaint(n *CGNode, e ast.Expr) *Flow {
 					}
 				}
 			}
+			// A loaded callee's arguments and receiver reach its body
+			// through the parameters (transferCall); the call's own
+			// value is tainted only by what the callee returns.
+			return len(targets) == 0
 		}
 		return true
 	})
@@ -805,4 +820,45 @@ func recvObjOf(t *CGNode) types.Object {
 		return nil
 	}
 	return t.Pkg.Info.Defs[names[0]]
+}
+
+// fieldKeyOf resolves a selector to (owner struct, field) when it is
+// a struct field selection on a named type.
+func fieldKeyOf(info *types.Info, sel *ast.SelectorExpr) (fieldKey, bool) {
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.FieldVal {
+		return fieldKey{}, false
+	}
+	recv := s.Recv()
+	if p, ok := recv.Underlying().(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	// Deep selections (a.b.c) attribute the field to the type that
+	// actually declares it.
+	if len(s.Index()) > 1 {
+		// Walk the embedding chain: Recv -> field path. Only the final
+		// field matters; its direct owner is the struct containing it.
+		t := recv
+		idx := s.Index()
+		for _, i := range idx[:len(idx)-1] {
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				return fieldKey{}, false
+			}
+			ft := st.Field(i).Type()
+			if p, ok := ft.Underlying().(*types.Pointer); ok {
+				ft = p.Elem()
+			}
+			t = ft
+		}
+		recv = t
+	}
+	named, ok := recv.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return fieldKey{}, false
+	}
+	return fieldKey{
+		owner: named.Obj().Pkg().Path() + "." + named.Obj().Name(),
+		field: sel.Sel.Name,
+	}, true
 }

@@ -109,7 +109,7 @@ func set(e *engine) {
 		t.Fatalf("FieldTaints = %+v, want exactly one", d.FieldTaints)
 	}
 	ft := d.FieldTaints[0]
-	want := stateField{owner: "fixture/df.engine", field: "clock"}
+	want := fieldKey{owner: "fixture/df.engine", field: "clock"}
 	if ft.Field != want {
 		t.Errorf("tainted field = %+v, want %+v", ft.Field, want)
 	}
@@ -166,6 +166,40 @@ func use(e *engine) {
 	}
 	wantChainOrder(t, d.FieldTaints[0].Flow.Chain(),
 		"now (", "arg v of df.sink", "engine.clock")
+}
+
+// TestDataflowCallTaintedByResultOnly: a tainted argument to a loaded
+// callee taints the call's value only when the callee returns it — a
+// constructor that files the argument into a field it does not return
+// yields a clean value, while an identity helper passes the taint on.
+func TestDataflowCallTaintedByResultOnly(t *testing.T) {
+	d, pkgs := runSnippetDataflow(t, `package df
+
+type log struct{ stamp int }
+
+func now() int { return 0 }
+
+func record(l *log, v int) int {
+	l.stamp = v
+	return 7
+}
+
+func id(v int) int { return v }
+
+func use(l *log) {
+	kept := record(l, now())
+	passed := id(now())
+	_, _ = kept, passed
+}
+`)
+	if fl := d.VarFlow(dfVar(t, pkgs, "kept")); fl != nil {
+		t.Errorf("record does not return its argument, but kept is tainted: %s", fl.Chain())
+	}
+	fl := d.VarFlow(dfVar(t, pkgs, "passed"))
+	if fl == nil {
+		t.Fatal("id returns its argument; passed should be tainted")
+	}
+	wantChainOrder(t, fl.Chain(), "now (", "arg v of df.id", "returned by df.id", "passed")
 }
 
 // TestDataflowCollectionLaunder: storing taint into a map element
@@ -243,7 +277,7 @@ func sum() int {
 	return s
 }
 `)
-	want := stateField{owner: "fixture/df.engine", field: "clock"}
+	want := fieldKey{owner: "fixture/df.engine", field: "clock"}
 	if d.FieldFlow(want) == nil {
 		t.Error("engine.clock should be tainted by the composite literal")
 	}

@@ -9,8 +9,8 @@ import (
 
 // These tests demonstrate the guards' sensitivity the way a regression
 // would arrive: a minimal, fully wired package is clean, and deleting
-// exactly one load-bearing line — a term of the CPI sum, a NextEvent
-// consultation — makes the corresponding analyzer fire.
+// exactly one load-bearing line — a term of the CPI sum, a lock, a
+// cycle-derived store — makes the corresponding analyzer fire.
 
 func snippetDiags(t *testing.T, name, src string, az *Analyzer) []Diagnostic {
 	t.Helper()
@@ -89,28 +89,6 @@ func TestCpiguardCatchesDeletedSumTerm(t *testing.T) {
 	wantFinding(t, diags, "SubCore.StallCycles is classified cycle in cpiLedger but never read")
 }
 
-const neDemoSrc = `package nedemo
-
-//snapshot:state
-type engine struct {
-	fill int64
-}
-
-func (e *engine) Tick() {
-	e.fill++
-	if e.fill > 8 {
-		e.fill = 0
-	}
-}
-
-func (e *engine) NextEvent(now int64) int64 {
-	if e.fill > 0 {
-		return now + 1
-	}
-	return now + 8
-}
-`
-
 // writeFixtureTree materializes a multi-package fixture (relative path
 // → source) under a temp dir and loads it the fixture way; sub-packages
 // import each other as "fixture/<name>/<subdir>".
@@ -137,13 +115,12 @@ const ctDemoSrc = `package ctdemo
 
 import "time"
 
-//snapshot:state
 type engine struct {
 	clock int64
 }
 
 // stamp records the cycle the engine reached; the wall-clock duration
-// stays in the caller's (unsnapshotted) report.
+// stays in the caller's report, outside simulation state.
 func (e *engine) stamp(cycle int64, start time.Time) time.Duration {
 	wall := time.Since(start)
 	e.clock = cycle
@@ -154,15 +131,15 @@ func (e *engine) stamp(cycle int64, start time.Time) time.Duration {
 func TestClocktaintCatchesReroutedClock(t *testing.T) {
 	wantClean(t, snippetDiags(t, "ctdemo", ctDemoSrc, Clocktaint))
 
-	// Route the wall-clock value into the snapshotted field instead of
-	// the simulated cycle: the resumed run would now disagree with the
-	// undisturbed one byte-for-byte.
+	// Route the wall-clock value into the engine's field instead of the
+	// simulated cycle: two identical runs would now disagree
+	// byte-for-byte.
 	store := "e.clock = cycle"
 	if !strings.Contains(ctDemoSrc, store) {
 		t.Fatal("demo source drifted: cycle store not found")
 	}
 	diags := snippetDiags(t, "ctdemo", strings.Replace(ctDemoSrc, store, "e.clock = int64(wall)", 1), Clocktaint)
-	wantFinding(t, diags, "snapshot:state field engine.clock")
+	wantFinding(t, diags, "simulation-state field engine.clock")
 }
 
 var cfDemoFiles = map[string]string{
@@ -246,18 +223,4 @@ func TestGoroutineshareCatchesDeletedLock(t *testing.T) {
 	}
 	diags := snippetDiags(t, "gsdemo", strings.Replace(gsDemoSrc, lock, "", 1), Goroutineshare)
 	wantFinding(t, diags, "unguarded increment of total")
-}
-
-func TestNexteventguardCatchesDeletedConsultation(t *testing.T) {
-	wantClean(t, snippetDiags(t, "nedemo", neDemoSrc, Nexteventguard))
-
-	// Replace the quiescence consultation with a fill-blind condition:
-	// the field still evolves on the Tick path but NextEvent can no
-	// longer see it, so fast-forward would skip cycles it must not.
-	consult := "if e.fill > 0 {"
-	if !strings.Contains(neDemoSrc, consult) {
-		t.Fatal("demo source drifted: consultation not found")
-	}
-	diags := snippetDiags(t, "nedemo", strings.Replace(neDemoSrc, consult, "if now%2 == 0 {", 1), Nexteventguard)
-	wantFinding(t, diags, "field engine.fill is read and mutated on the Tick path but never consulted by any NextEvent")
 }

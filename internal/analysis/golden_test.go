@@ -84,9 +84,7 @@ func TestGolden(t *testing.T) {
 		{"traceguard", Traceguard},
 		{"faultflow", Faultflow},
 		{"monitorpoll", Monitorpoll},
-		{"snapshotguard", Snapshotguard},
 		{"cpiguard", Cpiguard},
-		{"nexteventguard", Nexteventguard},
 		{"determinism_ip", Determinism},
 		{"hotpath_ip", Hotpath},
 		{"clocktaint", Clocktaint},

@@ -19,8 +19,8 @@ func pollsMonitor(fn *types.Func) bool {
 // inside a supervised loop are fine; the rule binds the outermost
 // free-running loop. Polling through one level of same-package helper
 // (a heartbeat method whose body does the Monitor call) counts: the
-// snapshot/audit work shares the beat, and factoring it out must not
-// force a suppression.
+// audit work shares the beat, and factoring it out must not force a
+// suppression.
 var Monitorpoll = &Analyzer{
 	Name: "monitorpoll",
 	Doc: "flag unbounded cycle loops that call .Tick but never poll " +

@@ -1,6 +1,7 @@
 // Package clocktaint is the golden fixture for the value-level
 // determinism analyzer: values derived from time.Now/time.Since or the
-// global math/rand stream reaching //snapshot:state fields, stats
+// global math/rand stream reaching simulation-state fields (every
+// fixture package but a "helper" counts as a simulation package), stats
 // counters, and NextEvent results — directly, laundered through
 // locals, and laundered through another package's return value.
 package clocktaint
@@ -13,16 +14,16 @@ import (
 	"fixture/clocktaint/stats"
 )
 
-//snapshot:state
+// engine is simulation state.
 type engine struct {
 	clock  int64
 	stalls int64
 	cycles int64
 }
 
-// stampDirect stores the source straight into snapshot state.
+// stampDirect stores the source straight into simulation state.
 func (e *engine) stampDirect() {
-	e.clock = time.Now().UnixNano() // want "snapshot:state field engine.clock"
+	e.clock = time.Now().UnixNano() // want "simulation-state field engine.clock"
 }
 
 // stampLaundered moves the taint through a helper package's return
@@ -30,18 +31,18 @@ func (e *engine) stampDirect() {
 func (e *engine) stampLaundered() {
 	t := pace.Stamp()
 	u := t + 1
-	e.clock = u // want "snapshot:state field engine.clock"
+	e.clock = u // want "simulation-state field engine.clock"
 }
 
 // jitter taints from the process-global rand stream.
 func (e *engine) jitter() {
 	r := rand.Int63()
-	e.stalls = r // want "snapshot:state field engine.stalls"
+	e.stalls = r // want "simulation-state field engine.stalls"
 }
 
-// snapshotNow taints through a composite literal element.
-func snapshotNow() engine {
-	return engine{clock: time.Now().UnixNano()} // want "snapshot:state field engine.clock"
+// freshEngine taints through a composite literal element.
+func freshEngine() engine {
+	return engine{clock: time.Now().UnixNano()} // want "simulation-state field engine.clock"
 }
 
 // tally stores a wall-clock duration into a stats counter.

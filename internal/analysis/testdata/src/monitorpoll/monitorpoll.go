@@ -30,7 +30,7 @@ func runSupervised(d *device) {
 }
 
 // heartbeat bundles the monitor poll with other periodic work, the way
-// the real cycle loop factors snapshots and audits into one beat.
+// the real cycle loop factors audits and metrics flushes into one beat.
 func (d *device) heartbeat() bool {
 	return d.mon.Canceled()
 }

@@ -9,6 +9,9 @@
 // timestamp and the wall-clock throughput fields is bit-deterministic.
 // Two identical runs produce byte-identical files modulo those fields
 // (Strip removes them for comparison), and Compare never reads them.
+//
+// profile.go holds the other host-performance report, the serial sweep
+// profiler behind `sweep -profile`.
 package bench
 
 import (
@@ -195,7 +198,9 @@ type Diff struct {
 	Geomean float64
 	Cells   []CellDelta
 	// OnlyOld/OnlyNew list cell keys present in one baseline only
-	// (coverage drift, reported but never gating).
+	// (coverage drift). Gate fails on OnlyOld — a baseline cell the new
+	// run no longer covers is a cell the gate silently stopped checking
+	// — while OnlyNew is reported only.
 	OnlyOld, OnlyNew []string
 }
 
@@ -266,9 +271,25 @@ func sortedKeys(a, b map[string]float64) []string {
 
 // Regression reports whether the diff's geomean IPC ratio falls below
 // 1 - threshold (e.g. threshold 0.02 gates a >= 2% geomean slowdown).
-// No matched cells is never a regression.
+// No matched cells is never a regression; Gate treats it as a failure.
 func (d *Diff) Regression(threshold float64) bool {
 	return len(d.Cells) > 0 && d.Geomean > 0 && d.Geomean < 1-threshold
+}
+
+// Gate is the CI verdict: nil when the new run covers every baseline
+// cell and its geomean IPC is within threshold, otherwise an error
+// naming the first failed condition. A comparison that matched no
+// cells, or lost some, fails: a gate that checks nothing must not pass.
+func (d *Diff) Gate(threshold float64) error {
+	switch {
+	case len(d.Cells) == 0:
+		return fmt.Errorf("no matched cells: the new run shares no (app, config) with the baseline")
+	case len(d.OnlyOld) > 0:
+		return fmt.Errorf("%d baseline cell(s) missing from the new run (first: %s)", len(d.OnlyOld), d.OnlyOld[0])
+	case d.Regression(threshold):
+		return fmt.Errorf("geomean IPC ratio %.4f < %.4f", d.Geomean, 1-threshold)
+	}
+	return nil
 }
 
 // Render writes a human-readable comparison: the geomean verdict, the

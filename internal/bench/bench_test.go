@@ -154,6 +154,44 @@ func TestCompareRegression(t *testing.T) {
 	}
 }
 
+// TestGate: the CI verdict fails on a regression, on a comparison that
+// matched nothing, and on baseline cells the new run dropped; cells
+// only the new run has are reported but pass.
+func TestGate(t *testing.T) {
+	mk := func(ipcs map[string]float64) *Baseline {
+		b := New("")
+		for app, ipc := range ipcs {
+			b.Cells = append(b.Cells, Cell{App: app, Config: "gto", IPC: ipc})
+		}
+		return b
+	}
+	old := mk(map[string]float64{"a": 1.0, "b": 2.0})
+	for _, tc := range []struct {
+		name string
+		cur  map[string]float64
+		want string // substring of the gate error; "" = pass
+	}{
+		{"identical", map[string]float64{"a": 1.0, "b": 2.0}, ""},
+		{"new cell only", map[string]float64{"a": 1.0, "b": 2.0, "c": 3.0}, ""},
+		{"regression", map[string]float64{"a": 0.95, "b": 1.90}, "geomean IPC ratio"},
+		{"no matched cells", map[string]float64{"zzz": 1.0}, "no matched cells"},
+		{"no cells at all", map[string]float64{}, "no matched cells"},
+		{"baseline cell dropped", map[string]float64{"a": 1.0}, "1 baseline cell(s) missing from the new run (first: b on gto)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := Compare(old, mk(tc.cur)).Gate(0.02)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("gate failed: %v", err)
+			case tc.want != "" && err == nil:
+				t.Errorf("gate passed, want failure containing %q", tc.want)
+			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+				t.Errorf("gate error %q does not contain %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestCompareIgnoresWallClock: wall-clock throughput differences never
 // affect the diff.
 func TestCompareIgnoresWallClock(t *testing.T) {

@@ -1,4 +1,4 @@
-package exp
+package bench
 
 import (
 	"encoding/json"
@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/exp"
 	"repro/internal/workloads"
 )
 
@@ -14,7 +15,9 @@ import (
 // simulated cycles and instructions per second, and heap allocations —
 // per (application, configuration) cell. cmd/sweep emits the report as
 // JSON so performance PRs have a machine-readable baseline to diff
-// against.
+// against. It lives beside the baseline format rather than in
+// internal/exp because host wall-clock is its purpose, and exp's result
+// tables must stay bit-deterministic.
 
 // ProfileEntry is one (application, configuration) measurement.
 type ProfileEntry struct {
@@ -74,12 +77,12 @@ func Profile(cfgs []config.GPU, names []string, apps []workloads.App) (*ProfileR
 				name = names[ci]
 			}
 			runtime.ReadMemStats(&ms0)
-			start := time.Now() //simlint:allow determinism -- wall-clock measurement is this profiler's purpose; it never feeds simulation state
-			r, err := RunApp(cfg, app)
+			start := time.Now()
+			r, err := exp.RunApp(cfg, app)
 			if err != nil {
 				return nil, err
 			}
-			wall := time.Since(start).Seconds() //simlint:allow determinism -- wall-clock measurement is this profiler's purpose; it never feeds simulation state
+			wall := time.Since(start).Seconds()
 			runtime.ReadMemStats(&ms1)
 			e := ProfileEntry{
 				App:          app.Name,

@@ -18,11 +18,6 @@ type Assigner interface {
 	Next() int
 	// Reset restarts the sequence (new kernel).
 	Reset()
-	// State returns the internal warp counter W for snapshots; SetState
-	// restores it. The Shuffle table is derived from (seed, smID) at
-	// construction and is not part of the state word.
-	State() uint64
-	SetState(uint64)
 }
 
 // NewAssigner builds the assigner for an SM. subCores is the partitioning
@@ -64,12 +59,6 @@ func (r *RoundRobin) Next() int {
 // Reset implements Assigner.
 func (r *RoundRobin) Reset() { r.w = 0 }
 
-// State implements Assigner.
-func (r *RoundRobin) State() uint64 { return uint64(r.w) }
-
-// SetState implements Assigner.
-func (r *RoundRobin) SetState(s uint64) { r.w = int(s) }
-
 // SRR is the paper's skewed round robin hash (Equation 1):
 //
 //	subcoreID = (W + floor(W/N)) mod N
@@ -94,12 +83,6 @@ func (s *SRR) Next() int {
 
 // Reset implements Assigner.
 func (s *SRR) Reset() { s.w = 0 }
-
-// State implements Assigner.
-func (s *SRR) State() uint64 { return uint64(s.w) }
-
-// SetState implements Assigner.
-func (s *SRR) SetState(st uint64) { s.w = int(st) }
 
 // Shuffle randomly permutes each group of N consecutive warps across the N
 // sub-cores, guaranteeing per-sub-core counts never differ by more than
@@ -150,12 +133,6 @@ func (s *Shuffle) Next() int {
 
 // Reset implements Assigner.
 func (s *Shuffle) Reset() { s.w = 0 }
-
-// State implements Assigner.
-func (s *Shuffle) State() uint64 { return uint64(s.w) }
-
-// SetState implements Assigner.
-func (s *Shuffle) SetState(st uint64) { s.w = int(st) }
 
 // Table exposes the assignment table for tests and for EncodeEntry.
 func (s *Shuffle) Table() []uint8 { return s.table }

@@ -40,12 +40,6 @@ type WarpScheduler interface {
 	NotifyIssued(slot int)
 	// Reset clears issue history (new kernel).
 	Reset()
-	// State packs the policy's issue history into one word for snapshots;
-	// SetState restores it. Stateless policies return 0 and ignore
-	// SetState. The word layouts are policy-private — a snapshot is only
-	// ever restored into the same policy (the config is checked first).
-	State() uint64
-	SetState(uint64)
 }
 
 // NewWarpScheduler builds the scheduler for a policy.
@@ -97,21 +91,6 @@ func (g *GTO) NotifyIssued(slot int) { g.last, g.haveLast = slot, true }
 // Reset implements WarpScheduler.
 func (g *GTO) Reset() { g.haveLast = false }
 
-// State implements WarpScheduler: bit 0 is haveLast, the rest hold the
-// greedy slot.
-func (g *GTO) State() uint64 {
-	if !g.haveLast {
-		return 0
-	}
-	return 1 | uint64(g.last)<<1
-}
-
-// SetState implements WarpScheduler.
-func (g *GTO) SetState(s uint64) {
-	g.haveLast = s&1 != 0
-	g.last = int(s >> 1)
-}
-
 // LRR is loose round-robin: rotate priority one past the last issued slot.
 type LRR struct {
 	next int
@@ -146,12 +125,6 @@ func (l *LRR) NotifyIssued(slot int) { l.next = slot + 1 }
 
 // Reset implements WarpScheduler.
 func (l *LRR) Reset() { l.next = 0 }
-
-// State implements WarpScheduler: the rotation pointer.
-func (l *LRR) State() uint64 { return uint64(l.next) }
-
-// SetState implements WarpScheduler.
-func (l *LRR) SetState(s uint64) { l.next = int(s) }
 
 // RBA is the paper's register-bank-aware scheduler. The warp selection
 // logic compares candidates on the concatenated field {RBA score, ~age}:
@@ -190,12 +163,6 @@ func (r *RBA) NotifyIssued(int) {}
 
 // Reset implements WarpScheduler.
 func (r *RBA) Reset() {}
-
-// State implements WarpScheduler; RBA keeps no issue history.
-func (r *RBA) State() uint64 { return 0 }
-
-// SetState implements WarpScheduler.
-func (r *RBA) SetState(uint64) {}
 
 // Score computes an instruction's RBA score: for each source operand, add
 // the length of the request queue of the bank the operand resides in

@@ -34,8 +34,7 @@ func (e *AuditError) Error() string {
 // (every sub-core's attributed cycles sum exactly to the device cycles).
 // Read-only; an empty result is a healthy device. The MSHR law holds
 // after the heartbeat's Retire(g.cycle), so call it at a heartbeat (the
-// auditor's own call site) or on a device restored from a snapshot,
-// which is always taken at one.
+// auditor's own call site).
 func (g *GPU) AuditCheck() []audit.Violation {
 	var vs []audit.Violation
 	for _, sm := range g.sms {

@@ -71,8 +71,6 @@ func (k *Kernel) Validate(cfg *config.GPU) error {
 
 // GPU is a simulated device instance. A GPU is single-use per Run result:
 // Reset rebuilds state between applications.
-//
-//snapshot:state
 type GPU struct {
 	cfg   config.GPU
 	hier  *mem.Hierarchy
@@ -94,15 +92,10 @@ type GPU struct {
 	met    *devMetrics
 
 	// auditEvery/auditNext drive the runtime invariant auditor
-	// (config.AuditEvery; audit.go). snapFn is the harness's snapshot
-	// hook; curLaunch exposes the active launch to WriteSnapshot; pending
-	// carries a restored mid-kernel launch until ContinueKernels picks it
-	// up (snapshot.go). corruptKind arms a test-only heartbeat corruption.
+	// (config.AuditEvery; audit.go). corruptKind arms a test-only
+	// heartbeat corruption.
 	auditEvery  int64
 	auditNext   int64
-	snapFn      func(*GPU) error
-	curLaunch   *launch
-	pending     *resumedLaunch
 	corruptKind string
 }
 
@@ -111,8 +104,6 @@ type GPU struct {
 // heartbeat granularity (monitorPeriod cycles), never per cycle, so the
 // enabled path stays off the critical loop and the disabled path is one
 // nil check per heartbeat.
-//
-//snapshot:state
 type devMetrics struct {
 	cycles  *metrics.Counter
 	instrs  *metrics.Counter
@@ -283,14 +274,10 @@ func (g *GPU) RunConcurrent(kernels []*Kernel, maxCycles int64) error {
 }
 
 // runLaunch drives a prepared launch to completion and finalizes its
-// stats entry. Shared by the fresh path (RunConcurrent) and the
-// snapshot-resume path (ContinueKernels), which must not re-run
-// ResetForKernel or restart the launch bookkeeping.
+// stats entry.
 //
 //simlint:cold
 func (g *GPU) runLaunch(ls *launch) error {
-	g.curLaunch = ls
-	defer func() { g.curLaunch = nil }()
 	if stop := g.cycleLoop(ls); stop != stopDone {
 		return g.launchError(stop, ls)
 	}
@@ -309,8 +296,6 @@ func (g *GPU) runLaunch(ls *launch) error {
 
 // launch is one RunConcurrent call's thread-block-scheduler state,
 // hoisted into a struct so the cycle loop itself allocates nothing.
-//
-//snapshot:state
 type launch struct {
 	kernels   []*Kernel
 	maxCycles int64
@@ -326,8 +311,7 @@ type launch struct {
 	totalBlocks int
 	kPtr, smPtr int
 	// startCycles/startInstr are the device watermarks at launch start,
-	// for the KernelStats delta (and they ride snapshots, so a resumed
-	// launch finalizes the identical entry).
+	// for the KernelStats delta.
 	startCycles int64
 	startInstr  int64
 	// err carries a placement fault out of the loop (stopFault).
@@ -590,44 +574,28 @@ func (g *GPU) fastForward(ls *launch) (stop loopStop, stopped, skipped bool) {
 
 // heartbeat runs the per-monitorPeriod supervision duties shared by the
 // ticked loop and the fast-forward wake path: MSHR retirement, metrics
-// flush, monitor beat/cancel poll, the runtime invariant auditor
-// (config.AuditEvery), and the harness's snapshot hook. Deliberately not
-// on the per-cycle path — everything here may allocate. Retire runs
-// first, so the corruption hook, the auditor and the snapshot all see
-// pending maps holding only fills that complete after g.cycle.
-//
-// The snapshot hook also runs on the heartbeat that observes a
-// cancellation, before the loop stops: the device is still mid-launch
-// and fully consistent here, so the harness can persist a final frame
-// and a restarted process resumes exactly where the SIGTERM/watchdog
-// kill landed. A hook failure during cancellation is swallowed — the
-// cancel is the fault the caller must see.
+// flush, monitor beat/cancel poll, and the runtime invariant auditor
+// (config.AuditEvery). Deliberately not on the per-cycle path —
+// everything here may allocate. Retire runs first, so the corruption
+// hook and the auditor both see pending maps holding only fills that
+// complete after g.cycle.
 //
 //simlint:cold
 func (g *GPU) heartbeat(ls *launch) (loopStop, bool) {
 	g.hier.Retire(g.cycle)
 	g.flushMetrics()
-	canceled := g.mon.beat(g.cycle)
-	if !canceled {
-		if g.corruptKind != "" {
-			g.applyCorruption()
-		}
-		if g.auditEvery > 0 && g.cycle >= g.auditNext {
-			g.auditNext = g.cycle + g.auditEvery
-			if vs := g.AuditCheck(); len(vs) > 0 {
-				ls.err = &AuditError{Cycle: g.cycle, Violations: vs}
-				return stopFault, true
-			}
-		}
+	if g.mon.beat(g.cycle) {
+		return stopCanceled, true
 	}
-	if g.snapFn != nil {
-		if err := g.snapFn(g); err != nil && !canceled {
-			ls.err = fmt.Errorf("gpu: snapshot hook at cycle %d: %w", g.cycle, err)
+	if g.corruptKind != "" {
+		g.applyCorruption()
+	}
+	if g.auditEvery > 0 && g.cycle >= g.auditNext {
+		g.auditNext = g.cycle + g.auditEvery
+		if vs := g.AuditCheck(); len(vs) > 0 {
+			ls.err = &AuditError{Cycle: g.cycle, Violations: vs}
 			return stopFault, true
 		}
-	}
-	if canceled {
-		return stopCanceled, true
 	}
 	return stopDone, false
 }

@@ -18,14 +18,11 @@
 //     cycle cap get one bounded retry at a raised cap.
 //  3. Checkpoint/resume — completed cells stream to an append-only JSONL
 //     checkpoint; a resumed sweep skips them and re-runs only the
-//     faulted/killed/missing cells (checkpoint.go).
-//  4. Snapshot/resume — interrupted cells themselves resume mid-kernel:
-//     periodic and cancellation-time device snapshots (snapshot.go,
-//     internal/snapshot, docs/ROBUSTNESS.md) let a restarted sweep
-//     continue a half-finished cell with byte-identical final results.
-//     The runtime invariant auditor (config.AuditEvery) surfaces state
+//     faulted/killed/missing cells (checkpoint.go). Cells are
+//     sub-second, so a kill loses at most the cells in flight. The
+//     runtime invariant auditor (config.AuditEvery) surfaces state
 //     corruption as a structured FaultAudit instead of silent bad data.
-//  5. Fault injection — a test-only Injector hook (inject.go) makes
+//  4. Fault injection — a test-only Injector hook (inject.go) makes
 //     chosen cells panic, hang, error, or corrupt their own state, so
 //     chaos tests can prove all of the above end to end.
 package harness
@@ -77,27 +74,6 @@ type Options struct {
 	// writes each fault's dump there ("" = no diagnostics; faulted cells
 	// then carry stack and heartbeat only).
 	DiagDir string
-	// SnapshotDir arms mid-kernel state snapshots (snapshot.go): each
-	// cell persists its full device state to <dir>/<app>__<config>.snap
-	// on the cadences below, plus a final frame when the cell is canceled
-	// (SIGTERM, watchdog, timeout) — so an interrupted sweep restarted
-	// with ResumeSnapshots continues each cell mid-kernel with
-	// byte-identical final statistics ("" = no snapshots).
-	SnapshotDir string
-	// SnapshotInterval is the simulated-cycle period between periodic
-	// snapshots (rounded up to the device heartbeat; 0 = no cycle-driven
-	// snapshots). With both intervals zero, only the final
-	// cancellation frame is written.
-	SnapshotInterval int64
-	// SnapshotWall is the wall-clock period between periodic snapshots
-	// (0 = no wall-driven snapshots). Useful when cells' cycle rates
-	// vary wildly: it bounds re-simulation time lost to a kill -9, which
-	// skips the cancellation frame.
-	SnapshotWall time.Duration
-	// ResumeSnapshots resumes each cell from its SnapshotDir frame when
-	// one exists. A frame that fails to restore (version, config, or
-	// workload drift) is discarded and the cell restarts fresh.
-	ResumeSnapshots bool
 	// Adapt, when non-nil, derives the cell's device configuration from
 	// the sweep configuration and the application (exp.DeviceFor's
 	// per-suite memory scaling).
@@ -222,12 +198,6 @@ func Run(ctx context.Context, cfgs []config.GPU, names []string, apps []workload
 			return nil, fmt.Errorf("harness: diagnostics dir: %w", err)
 		}
 	}
-	if opt.SnapshotDir != "" {
-		if err := os.MkdirAll(opt.SnapshotDir, 0o755); err != nil {
-			return nil, fmt.Errorf("harness: snapshot dir: %w", err)
-		}
-	}
-
 	var cells []Cell
 	for i := range apps {
 		for j := range cfgs {
@@ -334,12 +304,6 @@ func RunOne(ctx context.Context, cfg config.GPU, app workloads.App, opt Options)
 	if opt.Adapt != nil {
 		cfg = opt.Adapt(cfg, app)
 	}
-	if opt.SnapshotDir != "" {
-		if err := os.MkdirAll(opt.SnapshotDir, 0o755); err != nil {
-			return nil, &SimFault{App: app.Name, Config: cfg.Name, Kind: FaultError,
-				Err: fmt.Errorf("harness: snapshot dir: %w", err)}
-		}
-	}
 	opt.sm = newSweepMetrics(opt.Metrics)
 	opt.sm.sweepShape(1, 0)
 	run, _, fault := runCell(ctx, cfg, app, cfg.Name, opt)
@@ -360,7 +324,7 @@ func runCell(ctx context.Context, cfg config.GPU, app workloads.App, cfgName str
 	}
 	//simlint:allow determinism -- wall-clock telemetry: per-cell runtime feeds the sweep's progress metrics, never simulated state or result tables
 	start := time.Now()
-	run, fault := runCellOnce(ctx, cfg, app, cfgName, opt, maxCycles, opt.ResumeSnapshots)
+	run, fault := runCellOnce(ctx, cfg, app, cfgName, opt, maxCycles)
 	if fault != nil && fault.Kind == FaultDeadline && opt.RetryFactor >= 0 {
 		factor := opt.RetryFactor
 		if factor == 0 {
@@ -369,13 +333,7 @@ func runCell(ctx context.Context, cfg config.GPU, app workloads.App, cfgName str
 		opt.logf("harness: %s on %s hit the %d-cycle cap; retrying once at %d",
 			app.Name, cfgName, maxCycles, maxCycles*factor)
 		opt.sm.retried()
-		// The frame written during the capped attempt carries the old
-		// absolute deadline; resuming it would re-fault immediately, so the
-		// retry starts fresh.
-		if opt.SnapshotDir != "" {
-			os.Remove(snapPath(opt.SnapshotDir, app.Name, cfgName))
-		}
-		run, fault = runCellOnce(ctx, cfg, app, cfgName, opt, maxCycles*factor, false)
+		run, fault = runCellOnce(ctx, cfg, app, cfgName, opt, maxCycles*factor)
 		if fault != nil {
 			fault.Retried = true
 		}
@@ -390,11 +348,8 @@ func runCell(ctx context.Context, cfg config.GPU, app workloads.App, cfgName str
 	return run, wall, nil
 }
 
-// runCellOnce is one supervised attempt at a cell. resume allows the
-// attempt to continue from an existing snapshot frame (the retry path
-// disables it, since a raised cycle cap invalidates the frame's
-// deadline).
-func runCellOnce(ctx context.Context, cfg config.GPU, app workloads.App, cfgName string, opt Options, maxCycles int64, resume bool) (run *stats.Run, fault *SimFault) {
+// runCellOnce is one supervised attempt at a cell.
+func runCellOnce(ctx context.Context, cfg config.GPU, app workloads.App, cfgName string, opt Options, maxCycles int64) (run *stats.Run, fault *SimFault) {
 	mon := &gpu.Monitor{}
 	stop := supervise(ctx, mon, opt)
 	defer stop()
@@ -466,45 +421,12 @@ func runCellOnce(ctx context.Context, cfg config.GPU, app workloads.App, cfgName
 		g.ArmCorruptionForTest("scoreboard")
 	}
 
-	// Snapshot resume: a frame left by an interrupted earlier run (final
-	// cancellation frame or the last periodic one) continues mid-kernel.
-	// A frame that does not restore is discarded — Restore may have
-	// half-mutated the device, so the fresh path rebuilds it.
-	snap := newCellSnapshotter(opt, app.Name, cfgName, mon)
-	resumed := false
-	if snap != nil && resume {
-		ok, rerr := snap.tryResume(g, app.Kernels)
-		if rerr != nil {
-			opt.logf("harness: %s on %s: snapshot unusable, restarting fresh: %v", app.Name, cfgName, rerr)
-			snap.discard()
-			if g, err = gpu.New(cfg); err != nil {
-				return nil, &SimFault{Kind: FaultError, Err: err}
-			}
-			if inj == InjectCorrupt {
-				g.ArmCorruptionForTest("scoreboard")
-			}
-		} else if ok {
-			resumed = true
-			opt.sm.snapshotResumed()
-			opt.logf("harness: %s on %s: resumed from snapshot at cycle %d", app.Name, cfgName, g.Cycle())
-		}
-	}
-
 	g.SetMonitor(mon)
 	g.SetMetrics(opt.Metrics)
 	if tr != nil {
 		g.SetTracer(tr)
 	}
-	if snap != nil {
-		g.SetSnapshotHook(snap.hook)
-	}
-	runErr := error(nil)
-	if resumed {
-		runErr = g.ContinueKernels(app.Kernels, maxCycles)
-	} else {
-		runErr = g.RunKernels(app.Kernels, maxCycles)
-	}
-	if runErr != nil {
+	if runErr := g.RunKernels(app.Kernels, maxCycles); runErr != nil {
 		f := &SimFault{Cycle: mon.Cycle(), Err: runErr}
 		var cle *gpu.CycleLimitError
 		var ce *gpu.CancelError
@@ -524,7 +446,6 @@ func runCellOnce(ctx context.Context, cfg config.GPU, app workloads.App, cfgName
 		f.DumpPath = writeDump(opt, app.Name, cfgName, f, tr)
 		return nil, f
 	}
-	snap.discard()
 	return g.Run(), nil
 }
 

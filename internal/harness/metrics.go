@@ -18,8 +18,6 @@ type sweepMetrics struct {
 	cellsResumed *metrics.Counter
 	retries      *metrics.Counter
 	ckptWrites   *metrics.Counter
-	snapWrites   *metrics.Counter
-	snapResumes  *metrics.Counter
 	faults       [numFaultKinds]*metrics.Counter
 	cpi          [stats.NumCPIComponents]*metrics.Counter
 	cellIPC      *metrics.Histogram
@@ -42,10 +40,6 @@ func newSweepMetrics(reg *metrics.Registry) *sweepMetrics {
 		"deadline-killed cells re-run once at a raised cycle cap")
 	m.ckptWrites = reg.Counter("sweep_checkpoint_writes_total",
 		"cells appended to the JSONL checkpoint")
-	m.snapWrites = reg.Counter("sweep_snapshot_writes_total",
-		"mid-kernel device snapshot frames persisted")
-	m.snapResumes = reg.Counter("sweep_snapshot_resumes_total",
-		"cells resumed mid-kernel from a snapshot frame")
 	for k := FaultKind(0); k < numFaultKinds; k++ {
 		m.faults[k] = reg.Counter("sweep_faults_total",
 			"faulted cells by fault kind", metrics.L("kind", k.String()))
@@ -111,22 +105,6 @@ func (m *sweepMetrics) checkpointWrote() {
 		return
 	}
 	m.ckptWrites.Inc()
-}
-
-// snapshotWrote accounts one persisted snapshot frame.
-func (m *sweepMetrics) snapshotWrote() {
-	if m == nil {
-		return
-	}
-	m.snapWrites.Inc()
-}
-
-// snapshotResumed accounts one cell continued from a snapshot frame.
-func (m *sweepMetrics) snapshotResumed() {
-	if m == nil {
-		return
-	}
-	m.snapResumes.Inc()
 }
 
 // sweepShape publishes the matrix size and resumed-cell count.

@@ -8,21 +8,15 @@ package mem
 
 // Cache is a set-associative, write-through, no-write-allocate cache with
 // LRU replacement, tracking only tags (the simulator carries no data).
-//
-//snapshot:state
 type Cache struct {
 	sets      int
 	assoc     int
 	lineShift uint
-	//simlint:allow nexteventguard -- cache state mutates only while an access resolves; a quiescent span (no issuable warp, no pending fill) generates no accesses
-	tags []uint64 // sets*assoc entries; 0 = invalid (tag+1 stored)
-	//simlint:allow nexteventguard -- LRU state mutates only on access (see tags)
-	use []int64 // LRU timestamps
-	//simlint:allow nexteventguard -- advances only on access (see tags)
-	clock int64
+	tags      []uint64 // sets*assoc entries; 0 = invalid (tag+1 stored)
+	use       []int64  // LRU timestamps
+	clock     int64
 
 	// Hits and Misses count read lookups.
-	//simlint:allow nexteventguard -- hit/miss counters advance only on access (see tags)
 	Hits, Misses int64
 }
 

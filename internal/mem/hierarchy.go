@@ -11,15 +11,11 @@ import (
 // the DRAM channels) as a single queue: each transaction occupies the
 // channel for lineBytes/bytesPerCycle cycles and waits behind earlier
 // traffic.
-//
-//snapshot:state
 type bwChannel struct {
-	//simlint:allow nexteventguard -- advances only in serve, which runs only inside AccessGlobal, which only a non-quiescent LSU calls; the queueing delay it adds is already in the SM writeback heap that SM.NextEvent consults
-	nextFree   int64
-	cycPerLine int64
-	fracNum    int64 // fractional accumulation when bytes/cycle > line
-	fracDen    int64
-	//simlint:allow nexteventguard -- accumulates only when an access is admitted; quiescent spans admit none
+	nextFree    int64
+	cycPerLine  int64
+	fracNum     int64 // fractional accumulation when bytes/cycle > line
+	fracDen     int64
 	fracPending int64
 }
 
@@ -72,10 +68,7 @@ func (ch *bwChannel) serve(now int64) int64 {
 
 // mshr tracks outstanding line fills so that misses to an in-flight line
 // merge instead of consuming bandwidth twice.
-//
-//snapshot:state
 type mshr struct {
-	//simlint:allow nexteventguard -- read and written only inside AccessGlobal, which only a non-quiescent LSU calls, and pruned by the heartbeat's Retire, which drops only fills no later access can merge with; every fill's completion is already in the SM writeback heap that SM.NextEvent consults
 	pending map[uint64]int64 // line -> completion cycle
 }
 
@@ -117,20 +110,13 @@ func (m *mshr) retire(now int64) {
 // queueing delays derived from channel occupancy. This keeps 112-app
 // sweeps fast while preserving the relative pressure the paper's
 // workloads exert.
-//
-//snapshot:state
 type Hierarchy struct {
-	cfg config.GPU
-	l1  []*Cache
-	//simlint:allow nexteventguard -- L1 MSHRs change only inside AccessGlobal, which only a non-quiescent LSU calls, and in the heartbeat's Retire; each fill's completion is already in the SM writeback heap that SM.NextEvent consults
-	l1m []*mshr
-	//simlint:allow nexteventguard -- sub-component pointer; the cache mutates only via accesses from non-quiescent SMs
-	l2 *Cache
-	//simlint:allow nexteventguard -- the L2 MSHR changes only inside AccessGlobal, which only a non-quiescent LSU calls, and in the heartbeat's Retire; each fill's completion is already in the SM writeback heap that SM.NextEvent consults
-	l2m *mshr
-	//simlint:allow nexteventguard -- the L2 crossbar channel is served only inside AccessGlobal, which only a non-quiescent LSU calls; the queueing delay it adds is already in the SM writeback heap that SM.NextEvent consults
+	cfg  config.GPU
+	l1   []*Cache
+	l1m  []*mshr
+	l2   *Cache
+	l2m  *mshr
 	l2ch *bwChannel
-	//simlint:allow nexteventguard -- the DRAM channel is served only inside AccessGlobal, which only a non-quiescent LSU calls; the queueing delay it adds is already in the SM writeback heap that SM.NextEvent consults
 	drch *bwChannel
 
 	// L1HitLatency is the load-use latency on an L1 hit (Volta ~28).
@@ -211,8 +197,8 @@ const NeverCycle = int64(math.MaxInt64)
 // reach the L2 stamped out of order, and pruning at one could drop a
 // fill that an earlier-stamped access would still merge with. The device
 // calls Retire once per heartbeat, which both the ticked and the
-// fast-forward paths reach at the same cycles, so the pending maps (and
-// the snapshots that encode them) are identical either way.
+// fast-forward paths reach at the same cycles, so the pending maps are
+// identical either way.
 func (h *Hierarchy) Retire(now int64) {
 	h.l2m.retire(now)
 	for _, m := range h.l1m {

@@ -64,8 +64,6 @@ func BankWithOffset(off int, reg isa.Reg, banks int) int {
 }
 
 // readReq is a pending source-operand read queued at a bank.
-//
-//snapshot:state
 type readReq struct {
 	cu     int8
 	stolen bool
@@ -74,8 +72,6 @@ type readReq struct {
 // WriteReq is a pending destination-register writeback. The sub-core
 // enqueues one per completed instruction and learns of the grant via
 // GrantedWrites, at which point the scoreboard entry clears.
-//
-//snapshot:state
 type WriteReq struct {
 	// WarpIdx identifies the warp within the SM (opaque to this package).
 	WarpIdx int32
@@ -86,8 +82,6 @@ type WriteReq struct {
 }
 
 // CollectorUnit stages one warp instruction while its operands are read.
-//
-//snapshot:state
 type CollectorUnit struct {
 	// Valid marks the CU occupied.
 	Valid bool
@@ -96,10 +90,8 @@ type CollectorUnit struct {
 	// SchedSlot is the warp's slot in its scheduler, used for stats.
 	SchedSlot int32
 	// Instr is the staged instruction.
-	//simlint:allow nexteventguard -- meaningful only while Valid is set; any valid CU makes NextEvent report an event
 	Instr isa.Instr
 	// Pending counts source operands not yet granted.
-	//simlint:allow nexteventguard -- drains only as queued bank reads are granted; any valid CU or non-empty queue makes NextEvent report an event
 	Pending int8
 	// Stolen marks a bank-stealing pre-allocation: its reads only use
 	// otherwise-idle bank cycles and it never blocks normal traffic.
@@ -108,7 +100,6 @@ type CollectorUnit struct {
 	AllocCycle int64
 
 	// tried marks the CU as having attempted dispatch this cycle.
-	//simlint:allow nexteventguard -- per-Tick dispatch scratch; meaningful only while a valid CU exists, which NextEvent reports
 	tried bool
 }
 
@@ -117,8 +108,6 @@ type CollectorUnit struct {
 func (c *CollectorUnit) Ready() bool { return c.Valid && c.Pending == 0 }
 
 // Collector is the operand collector + arbitration unit of one sub-core.
-//
-//snapshot:state
 type Collector struct {
 	cus   []CollectorUnit
 	banks int
@@ -129,16 +118,13 @@ type Collector struct {
 	writes [][]WriteReq
 
 	// granted writes this cycle, exposed to the sub-core.
-	//simlint:allow nexteventguard -- within-cycle hand-off buffer, empty between cycles; filled only when a write queue is non-empty, which NextEvent reports
 	grantedW []WriteReq
 
 	// qlenHist is a ring of per-bank normal-read queue lengths, one entry
 	// per cycle, supporting the RBA score-update delay study (VI-B4).
 	qlenHist [][]int16
-	//simlint:allow nexteventguard -- queue-length ring cursor; FastForward replays its advance bit-exactly across a skip
-	histPos int
+	histPos  int
 
-	//simlint:allow nexteventguard -- collector clock; FastForward replays its advance bit-exactly across a skip
 	cycle int64
 	st    *stats.SubCore
 
@@ -148,7 +134,6 @@ type Collector struct {
 
 	// tr emits bank-grant trace events when the SM is traced (nil
 	// otherwise — the disabled fast path); trSub is the owning sub-core.
-	//simlint:allow nexteventguard -- trace wiring: emission is output-only and idle cycles emit no events
 	tr    *trace.SMT
 	trSub int8
 }

@@ -33,15 +33,11 @@ type BlockSpec struct {
 func (b *BlockSpec) Warps() int { return len(b.Programs) }
 
 // block is a resident thread block's bookkeeping on an SM.
-//
-//snapshot:state
 type block struct {
-	active        bool
-	kernelBlockID int
-	warpsTotal    int
-	//simlint:allow nexteventguard -- advances only when a warp issues EXIT — impossible in a quiescent span
-	warpsExited int
-	//simlint:allow nexteventguard -- changes only on barrier arrival/release, both driven by warp issues
+	active         bool
+	kernelBlockID  int
+	warpsTotal     int
+	warpsExited    int
 	barrierWaiting int
 	warpIdxs       []int32
 	regsPerThread  int
@@ -54,8 +50,6 @@ type block struct {
 type subRoom struct{ slots, regs int }
 
 // wbEvent is a scheduled register writeback (execution or load return).
-//
-//snapshot:state
 type wbEvent struct {
 	cycle   int64
 	warpIdx int32
@@ -112,25 +106,19 @@ func (h *wbHeap) pop() wbEvent {
 
 // SM is one streaming multiprocessor: sub-cores, the shared LSU, resident
 // warps/blocks, and the warp→sub-core assigner.
-//
-//snapshot:state
 type SM struct {
-	id  int
-	cfg *config.GPU
-	//simlint:allow nexteventguard -- warp contexts reach NextEvent through the sub-cores' slot sets, refreshed at every event that changes a warp's issue, decode or lifecycle state (coherence: checkReadySets, Audit readyset law)
-	warps []Warp
-	//simlint:allow nexteventguard -- slot bookkeeping changes only at placement/retirement; retirement needs warp exits, placement is driven by the run loop itself
+	id       int
+	cfg      *config.GPU
+	warps    []Warp
 	blocks   []block
 	subcores []*SubCore
 	assigner core.Assigner
 	lsu      *LSU
-	//simlint:allow nexteventguard -- sub-component pointer; the hierarchy is analytic and mutates only inside AccessGlobal, which only a non-quiescent LSU calls, with every fill's completion already in the writeback heap NextEvent consults
-	hier *mem.Hierarchy
-	st   *stats.SM
-	run  *stats.Run
+	hier     *mem.Hierarchy
+	st       *stats.SM
+	run      *stats.Run
 
-	wb wbHeap
-	//simlint:allow nexteventguard -- changes only at block placement/retirement (see blocks)
+	wb         wbHeap
 	freeShmem  int
 	ageCounter int64
 	// rooms is CanAccept's reusable feasibility scratch.
@@ -140,22 +128,17 @@ type SM struct {
 	// cycles) must not allocate per visit.
 	auditSB [][sbWords]uint64
 	// residentWarps counts occupied warp slots (all states).
-	//simlint:allow nexteventguard -- occupancy tallies change only at placement/exit events, never across a quiescent span
-	residentWarps int
-	//simlint:allow nexteventguard -- occupancy tallies change only at placement/exit events (see residentWarps)
+	residentWarps  int
 	residentBlocks int
 	// liveWarps counts warps not yet exited; the SM is drained when 0 and
 	// no writebacks or LSU entries are pending.
-	//simlint:allow nexteventguard -- decrements only on warp exit, which requires an issue (see residentWarps)
 	liveWarps int
 
-	traceReads bool
-	//simlint:allow nexteventguard -- read-trace bookkeeping; FastForward appends the exact zero deltas the skipped ticks would have
+	traceReads  bool
 	lastRegRead int64
 
 	// tr is the observability handle for this SM; nil when the SM is not
 	// traced, which is the fast path every emission site branches on.
-	//simlint:allow nexteventguard -- trace wiring: emission is output-only and idle cycles emit no events
 	tr *trace.SMT
 }
 
@@ -464,7 +447,7 @@ func (sm *SM) Tick(now int64) {
 // returns t > now, then Tick(c) for every c in [now, t) would change
 // nothing except the stall/idle counters that FastForward replays in
 // bulk. The run loop's fast-forward leans on this for byte-identical
-// statistics; TestFastForwardDifferential enforces it end to end.
+// statistics; TestFastForwardInert enforces it end to end.
 //
 //simlint:hotpath
 func (sm *SM) NextEvent(now int64) int64 {

@@ -15,11 +15,8 @@ import (
 // Volta sub-core has one 16-lane FP32 pipe; the hypothetical
 // fully-connected SM pools four of them, so lane budgets above the native
 // pipe width become additional dispatch ports rather than one wider pipe.
-//
-//snapshot:state
 type execUnit struct {
-	ii int64
-	//simlint:allow nexteventguard -- port busy-times advance only at issue; any issuable candidate makes quiescent() return false
+	ii    int64
 	ports []int64 // per-pipe next-free cycle
 }
 
@@ -63,25 +60,18 @@ func (e *execUnit) accept(now int64) {
 // SubCore is one partition of an SM: a warp scheduler (or several, for the
 // fully-connected model), a slice of the register file with its operand
 // collector, and private execution units.
-//
-//snapshot:state
 type SubCore struct {
-	id  int
-	cfg *config.GPU
-	//simlint:allow nexteventguard -- parent back-pointer to the warp table, whose effect on issue and decode NextEvent reads through sets (see SM.warps)
-	sm *SM
-	//simlint:allow nexteventguard -- occupancy changes only at host, which refreshes the slot, and release, which frees only finished warps (in no set); NextEvent reads sets (coherence: checkReadySets, Audit readyset law)
+	id    int
+	cfg   *config.GPU
+	sm    *SM
 	slots []int32 // warp indices into sm.warps; -1 = empty
-	//simlint:allow nexteventguard -- slot occupancy changes only at host/release (block lifecycle), never across a quiescent span
-	used int
+	used  int
 
 	sched core.WarpScheduler
 	coll  *regfile.Collector
-	//simlint:allow nexteventguard -- execution units mutate only at issue (see execUnit.ports)
-	eu [isa.NumClasses]execUnit
+	eu    [isa.NumClasses]execUnit
 
 	// freeRegBytes tracks unallocated register-file capacity.
-	//simlint:allow nexteventguard -- register budget changes only at host/release (block lifecycle)
 	freeRegBytes int
 
 	// sets are the slot bitmasks the issue, decode and fast-forward
@@ -91,13 +81,10 @@ type SubCore struct {
 	st *stats.SubCore
 
 	// tr is the SM's observability handle (nil = not traced, fast path).
-	//simlint:allow nexteventguard -- trace wiring: emission is output-only and idle cycles emit no events
 	tr *trace.SMT
 
 	// scratch buffers reused across cycles.
-	//simlint:allow nexteventguard -- per-Tick scratch rebuilt each issue tick; carries no cross-cycle state
-	cands []core.Candidate
-	//simlint:allow nexteventguard -- per-Tick scratch rebuilt each issue tick; carries no cross-cycle state
+	cands   []core.Candidate
 	qlenBuf []int
 
 	// dispatchFn is the operand-collector dispatch callback, built once
@@ -105,10 +92,8 @@ type SubCore struct {
 	// cost one heap allocation per sub-core per cycle (simlint hotpath).
 	// dispNow/dispPorts carry the per-cycle arguments it closes over.
 	dispatchFn func(*regfile.CollectorUnit) bool
-	//simlint:allow nexteventguard -- per-Tick dispatch argument rewritten before every use; carries no cross-cycle state
-	dispNow int64
-	//simlint:allow nexteventguard -- per-Tick dispatch argument rewritten before every use; carries no cross-cycle state
-	dispPorts int
+	dispNow    int64
+	dispPorts  int
 }
 
 // readySets are a sub-core's per-slot issue-stage bitmasks: bit i stands
@@ -185,8 +170,9 @@ func (sc *SubCore) refresh(slot int) {
 	sc.sets.put(uint64(1)<<uint(slot), sc.slotSets(slot))
 }
 
-// scanSets recomputes every slot's bits from scratch: the restore path
-// and the coherence checks, never the per-cycle path.
+// scanSets recomputes every slot's bits from scratch for the coherence
+// checks (the Audit readyset law and the checkReadySets test oracle),
+// never on the per-cycle path.
 func (sc *SubCore) scanSets() readySets {
 	var s readySets
 	for slot := range sc.slots {

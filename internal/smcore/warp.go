@@ -31,11 +31,8 @@ const (
 const sbWords = 4 // scoreboard bitset covers 256 architectural registers
 
 // Warp is a resident warp's hardware state on an SM.
-//
-//snapshot:state
 type Warp struct {
 	// State is the lifecycle state.
-	//simlint:allow nexteventguard -- folded into the sub-core's slot sets, which NextEvent reads; every state change refreshes the slot (coherence: checkReadySets, Audit readyset law)
 	State WarpState
 	// GID is the kernel-wide warp index (block * warpsPerBlock + lane),
 	// used for address synthesis and reporting.
@@ -50,29 +47,21 @@ type Warp struct {
 	// Age is the SM-wide allocation order; GTO/RBA tie-break on it.
 	Age int64
 	// Cursor walks the warp's program.
-	//simlint:allow nexteventguard -- cursor exhaustion is the decode set NextEvent reads; decodeTick refreshes the slot after every advance (coherence: checkReadySets, Audit readyset law)
 	Cursor program.Cursor
 	// IBuf is the 2-entry instruction buffer; IBufN is its fill level.
-	//simlint:allow nexteventguard -- the head instruction is classified into the ready/hazard sets NextEvent reads; issue and decode refresh the slot whenever it changes (coherence: checkReadySets, Audit readyset law)
-	IBuf [2]isa.Instr
-	//simlint:allow nexteventguard -- the fill level is folded into the ready and decode sets NextEvent reads; issue and decode refresh the slot whenever it changes (coherence: checkReadySets, Audit readyset law)
+	IBuf  [2]isa.Instr
 	IBufN int8
 	// sb is the pending-destination-register bitset (RAW/WAW scoreboard);
 	// sbCount is the number of set registers.
-	//simlint:allow nexteventguard -- scoreboard hazards are folded into the ready/hazard sets NextEvent reads; issue (SBSet) refreshes the slot, and writeback (SBClear) refreshes it when it is in the hazard set, the only bits a cleared register can change (coherence: checkReadySets, Audit readyset law)
-	sb [sbWords]uint64
-	//simlint:allow nexteventguard -- the drain rule for EXIT/BAR is folded into the ready/hazard sets NextEvent reads; issue refreshes the slot, and so does the writeback that drains a hazard-set warp (coherence: checkReadySets, Audit readyset law)
+	sb      [sbWords]uint64
 	sbCount int16
 	// StolenCU is the collector unit holding a bank-stealing
 	// pre-allocation for this warp's IBuf[0], or -1.
-	//simlint:allow nexteventguard -- set and cleared within issue/writeback activity, which the wb heap and CU state report
 	StolenCU int8
 	// MemCounter sequences this warp's memory accesses for address
 	// synthesis.
-	//simlint:allow nexteventguard -- moves only at issue and writeback completion, both events NextEvent reports
 	MemCounter int64
 	// rng is the warp-private xorshift state for PatRandom addresses.
-	//simlint:allow nexteventguard -- RBA sampling stream draws only when the scheduler issues; quiescent spans draw nothing
 	rng uint64
 }
 
